@@ -6,9 +6,9 @@
 // Single-stream sessions run on the sharded serving engine
 // (internal/serve): N shard loops, each with one clock stepping every
 // session registered on it, instead of a goroutine and ticker per
-// connection. Sessions that negotiate the same (delay, buffer) share one
-// precomputed schedule from the engine's cohort cache and cost only a
-// cursor each; -cohort-cache=false forces the per-session sender path.
+// connection. Negotiation always yields B = R·D, so sessions that
+// negotiate the same delay share one precomputed schedule from the
+// engine's per-delay plan table and cost only a cursor each.
 // On SIGINT/SIGTERM the server stops accepting, drains
 // in-flight sessions up to -drain, and exits 0.
 //
@@ -17,7 +17,6 @@
 //	smoothd [-listen :4321] [-trace FILE] [-frames N]
 //	        [-rate-factor F] [-step 40ms] [-policy greedy] [-once]
 //	        [-shards N] [-max-sessions N] [-drain 10s]
-//	        [-cohort-cache=false] [-max-cohorts N]
 //	        [-debug localhost:6060] [-slo 0]
 //
 // With -debug the server exposes the diagnostic surface on the given
@@ -67,8 +66,6 @@ func main() {
 		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "serving-engine shard loops")
 		maxSessions = flag.Int("max-sessions", 0, "concurrent session cap (0 = unlimited)")
 		drainWait   = flag.Duration("drain", 10*time.Second, "in-flight session drain budget on shutdown")
-		cohortCache = flag.Bool("cohort-cache", true, "serve same-parameter sessions from shared precomputed schedules")
-		maxCohorts  = flag.Int("max-cohorts", 0, "distinct (delay, buffer) plans to precompute (0 = default cap)")
 		debugAddr   = flag.String("debug", "", "serve /metrics, /statusz, /debug/flightrec and /debug/pprof on this address (empty = off)")
 		sloTarget   = flag.Duration("slo", 0, "windowed p99 shard-step-duration target; breaches dump the flight recorder (0 = off)")
 	)
@@ -122,14 +119,12 @@ func main() {
 	var muxWG sync.WaitGroup // legacy multiplexed sessions (streams > 1)
 	if *streams == 1 {
 		eng, err = serve.New(clip, trace.PaperWeights(), serve.Config{
-			Rate:           rate,
-			Shards:         *shards,
-			MaxSessions:    *maxSessions,
-			StepDuration:   *step,
-			Policy:         factory,
-			DisableCohorts: !*cohortCache,
-			MaxCohorts:     *maxCohorts,
-			Instrument:     diag.RegisterRuntimeMetrics,
+			Rate:         rate,
+			Shards:       *shards,
+			MaxSessions:  *maxSessions,
+			StepDuration: *step,
+			Policy:       factory,
+			Instrument:   diag.RegisterRuntimeMetrics,
 			OnSessionDone: func(s serve.SessionStats, err error) {
 				if err != nil {
 					log.Printf("smoothd: session %s: %v", s.Remote, err)

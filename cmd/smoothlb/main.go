@@ -195,7 +195,7 @@ func main() {
 		log.Printf("smoothlb: drain budget exceeded, aborting in-flight relays")
 	}
 	if eng.SpliceFallbacks() > 0 {
-		log.Printf("smoothlb: %d sessions relayed through the userspace fallback", eng.SpliceFallbacks())
+		log.Printf("smoothlb: %d sessions failed because their sockets could not splice", eng.SpliceFallbacks())
 	}
 	os.Exit(0)
 }

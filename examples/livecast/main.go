@@ -1,6 +1,6 @@
-// Livecast: a real end-to-end session over TCP loopback. A server paces a
-// live synthetic clip through a smoothing buffer at 95% of the stream's
-// average rate; the client connects with a latency budget, negotiates
+// Livecast: a real end-to-end session over TCP loopback. A one-shard
+// serving engine paces a live synthetic clip through a smoothing buffer at
+// 95% of the stream's average rate; the client connects with a latency budget, negotiates
 // B = R·D, reconstructs the stream with the paper's timer-based playout,
 // and verifies every payload byte.
 //
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/netstream"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -34,6 +35,16 @@ func main() {
 	}
 	defer ln.Close()
 
+	eng, err := serve.New(clip, trace.PaperWeights(), serve.Config{
+		Rate:         rate,
+		Shards:       1,
+		StepDuration: 2 * time.Millisecond, // 500 steps/s so the demo finishes quickly
+		MaxDelay:     64,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
 	serveErr := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
@@ -41,12 +52,9 @@ func main() {
 			serveErr <- err
 			return
 		}
-		defer conn.Close()
-		serveErr <- netstream.Serve(conn, clip, trace.PaperWeights(), netstream.ServeConfig{
-			Rate:         rate,
-			StepDuration: 2 * time.Millisecond, // 500 steps/s so the demo finishes quickly
-			MaxDelay:     64,
-		})
+		// Handle returns once the session is registered; the engine's
+		// shard clock streams it and closes the connection at End.
+		serveErr <- eng.Handle(conn)
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -63,6 +71,9 @@ func main() {
 	}
 	if err := <-serveErr; err != nil {
 		log.Fatal(err)
+	}
+	if !eng.Drain(time.Second) {
+		log.Fatal("serving engine did not drain")
 	}
 
 	fmt.Printf("negotiated smoothing delay: %d steps (B = R*D = %d KB)\n",

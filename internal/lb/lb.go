@@ -31,13 +31,13 @@
 //   - Shard reactors: after the handshake the session becomes pure byte
 //     relay. Each shard owns an epoll set; on Linux the steady-state
 //     path splices backend socket → per-session pipe → client socket
-//     (kernel-to-kernel, no userspace copy, zero allocation), falling
-//     back to a per-session copy loop only if the first splice reports
-//     the fds unsupported (counted; zero in the benchmarks). On !linux
-//     builds a portable io.CopyBuffer relay per session keeps the
-//     engine functional. A stalled client write parks the session on an
-//     edge-armed EPOLLOUT and the stall duration streams into a
-//     histogram; stalls beyond Config.StallTimeout retire the session.
+//     (kernel-to-kernel, no userspace copy, zero allocation). That is the
+//     only relay path: a session whose fds cannot splice fails with the
+//     splice error and is counted (zero in the benchmarks). The tier is
+//     Linux-only; on other platforms New fails fast. A stalled client
+//     write parks the session on an edge-armed EPOLLOUT and the stall
+//     duration streams into a histogram; stalls beyond
+//     Config.StallTimeout retire the session.
 //
 // Every wake stamps one engine-monotonic clock reading shared by all
 // sessions drained in it (the tickClock pattern), so flight-recorder
@@ -425,8 +425,8 @@ func (e *Engine) Close() {
 // Active returns the number of admitted, unfinished sessions.
 func (e *Engine) Active() int { return int(e.active.Load()) }
 
-// SpliceFallbacks returns how many sessions abandoned the splice path
-// for the userspace copy loop — zero on a healthy Linux host.
+// SpliceFallbacks returns how many sessions failed because their sockets
+// could not splice — zero on a healthy Linux host.
 func (e *Engine) SpliceFallbacks() int64 { return e.fallbacks.Load() }
 
 // Obs returns the tier's metric registry for diag endpoints and tests.

@@ -4,7 +4,6 @@ package lb
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"syscall"
 
@@ -144,8 +143,8 @@ func (sh *shard) dispatch(s *session, fd int, events uint32, now int64) {
 	sh.relay(s, now)
 }
 
-// onClientHup classifies a client hangup. Undelivered bytes — a parked
-// pipe or copy tail — mean the client abandoned mid-stream: fail the
+// onClientHup classifies a client hangup. Undelivered bytes parked in
+// the pipe mean the client abandoned mid-stream: fail the
 // session. With nothing undelivered the verdict belongs to the backend:
 // its EOF means the client consumed the whole stream and simply closed
 // first (the two FINs race through separate sockets, which is not a
@@ -159,7 +158,7 @@ func (sh *shard) onClientHup(s *session, now int64) {
 	if s.clientGone {
 		return
 	}
-	if s.pipeFill > 0 || s.pendOff < s.pendLen {
+	if s.pipeFill > 0 {
 		sh.retire(s, errClientGone, now)
 		return
 	}
@@ -177,15 +176,7 @@ func (sh *shard) onClientHup(s *session, now int64) {
 //smoothvet:noalloc
 func (sh *shard) finishClientGone(s *session, now int64) {
 	for {
-		var n int
-		var err error
-		if s.fallback {
-			n, err = syscall.Read(s.bfd, s.pend)
-		} else {
-			var sn int64
-			sn, err = syscall.Splice(s.bfd, nil, s.pipeW, nil, spliceChunk, spliceFlags)
-			n = int(sn)
-		}
+		n, err := syscall.Splice(s.bfd, nil, s.pipeW, nil, spliceChunk, spliceFlags)
 		if n > 0 {
 			sh.retire(s, errClientGone, now)
 			return
@@ -206,7 +197,7 @@ func (sh *shard) finishClientGone(s *session, now int64) {
 				continue
 			}
 		}
-		sh.retire(s, err, now)
+		sh.retireRelayErr(s, err, now)
 		return
 	}
 }
@@ -282,10 +273,6 @@ func (sh *shard) relay(s *session, now int64) {
 		sh.finishClientGone(s, now)
 		return
 	}
-	if s.fallback {
-		sh.relayCopy(s, now)
-		return
-	}
 	for {
 		for s.pipeFill > 0 {
 			n, err := syscall.Splice(s.pipeR, nil, s.cfd, nil, s.pipeFill, spliceFlags)
@@ -305,7 +292,7 @@ func (sh *shard) relay(s *session, now int64) {
 					continue
 				}
 			}
-			sh.retire(s, err, now)
+			sh.retireRelayErr(s, err, now)
 			return
 		}
 		if s.ended {
@@ -334,22 +321,26 @@ func (sh *shard) relay(s *session, now int64) {
 				return
 			case syscall.EINTR:
 				continue
-			case syscall.EINVAL, syscall.ENOSYS:
-				if s.bytes == 0 && s.pipeFill == 0 {
-					// These fds cannot splice (exotic socket type): fall
-					// back to the userspace copy loop for this session.
-					sh.toFallback(s)
-					sh.relayCopy(s, now)
-					return
-				}
 			}
 		}
-		sh.retire(s, err, now)
+		sh.retireRelayErr(s, err, now)
 		return
 	}
 }
 
 const spliceFlags = 0x1 | 0x2 // SPLICE_F_MOVE | SPLICE_F_NONBLOCK
+
+// retireRelayErr retires a session on a failed splice. EINVAL and ENOSYS
+// mean these fds cannot splice at all (an exotic socket type); there is no
+// other relay path, so the session fails with that error and is counted
+// as a splice fallback.
+func (sh *shard) retireRelayErr(s *session, err error, now int64) {
+	if err == syscall.EINVAL || err == syscall.ENOSYS {
+		sh.met.Inc(sh.eng.met.cFallback)
+		sh.eng.fallbacks.Add(1)
+	}
+	sh.retire(s, err, now)
+}
 
 // stall parks a session on client writability. The backend fd leaves the
 // epoll set for the duration: its level-triggered readability would
@@ -370,80 +361,6 @@ func (sh *shard) stall(s *session, now int64) {
 	}
 	if err := sh.poller.armWrite(s.cfd); err != nil {
 		sh.retire(s, err, now)
-	}
-}
-
-// toFallback abandons the splice path for one session: close the pipe
-// (empty by the caller's check) and set up the copy buffer. This is the
-// cold exit off the hot path — it allocates, once, and is counted.
-func (sh *shard) toFallback(s *session) {
-	_ = syscall.Close(s.pipeR)
-	_ = syscall.Close(s.pipeW)
-	s.pipeR, s.pipeW = -1, -1
-	s.pend = make([]byte, 64<<10)
-	s.fallback = true
-	sh.met.Inc(sh.eng.met.cFallback)
-	sh.eng.fallbacks.Add(1)
-}
-
-// relayCopy is the userspace fallback: read the backend into the
-// session's scratch buffer, write the tail to the client, same stall and
-// EOF discipline as the splice path. Steady state allocates nothing —
-// the scratch buffer was sized at the fallback transition.
-//
-//smoothvet:noalloc
-func (sh *shard) relayCopy(s *session, now int64) {
-	for {
-		for s.pendOff < s.pendLen {
-			n, err := syscall.Write(s.cfd, s.pend[s.pendOff:s.pendLen])
-			if n > 0 {
-				s.pendOff += n
-				s.bytes += int64(n)
-				continue
-			}
-			if en, ok := err.(syscall.Errno); ok {
-				if en == syscall.EAGAIN {
-					sh.stall(s, now)
-					return
-				}
-				if en == syscall.EINTR {
-					continue
-				}
-			}
-			sh.retire(s, err, now)
-			return
-		}
-		if s.ended {
-			sh.retire(s, nil, now)
-			return
-		}
-		n, err := syscall.Read(s.bfd, s.pend)
-		if n > 0 {
-			s.pendOff, s.pendLen = 0, n
-			s.lastData = now
-			if !s.anchored {
-				s.anchored = true
-				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
-			}
-			continue
-		}
-		if n == 0 && err == nil {
-			s.ended = true
-			continue
-		}
-		if en, ok := err.(syscall.Errno); ok {
-			if en == syscall.EAGAIN {
-				return
-			}
-			if en == syscall.EINTR {
-				continue
-			}
-		}
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		sh.retire(s, err, now)
-		return
 	}
 }
 

@@ -2,140 +2,19 @@
 
 package lb
 
-import (
-	"io"
-	"net"
-	"time"
+import "errors"
 
-	"repro/internal/obs"
-)
+// The relay reactor needs epoll and splice; elsewhere New fails fast and
+// these stubs only keep the package compiling.
 
-// Non-Linux fallback reactor: no epoll and no splice. Every session gets
-// one copying goroutine running io.CopyBuffer with a write-deadline
-// armed per chunk; the shard goroutine keeps ownership of the session
-// table and drains completion reports from copyDone. Every relay through
-// this path counts as a splice fallback.
+var errNoReactor = errors.New("lb: the relay reactor requires linux (epoll, splice)")
 
-const tickMs = 10
-
-// poller is a stub on non-Linux builds; the copy goroutines replace the
-// epoll set.
 type poller struct{}
 
-func newPoller() (*poller, error) { return &poller{}, nil }
+func newPoller() (*poller, error) { return nil, errNoReactor }
 
 func (p *poller) close() {}
 
-// run is the shard loop: tick, admit placed sessions, reap finished copy
-// goroutines, sweep idle timers.
-func (sh *shard) run() {
-	defer sh.eng.loopWG.Done()
-	tick := time.NewTicker(tickMs * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-		case res := <-sh.copyDone:
-			now := sh.eng.monotonic()
-			res.s.bytes = res.bytes
-			sh.retire(res.s, res.err, now)
-			continue
-		}
-		now := sh.eng.monotonic()
-		sh.admit(now)
-		sh.met.Set(sh.eng.met.gActive, uint64(len(sh.sessions)))
-		sh.met.Publish()
-		if sh.eng.closing.Load() {
-			sh.shutdown()
-			return
-		}
-	}
-}
-
-// startRelay launches the copy goroutine for one session. The fallback
-// counter ticks here: this platform never splices.
-func (sh *shard) startRelay(s *session, now int64) error {
-	s.fallback = true
-	sh.met.Inc(sh.eng.met.cFallback)
-	sh.eng.fallbacks.Add(1)
-	sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
-	//smoothvet:transfer s handed to its copy goroutine until copyDone
-	go sh.copySession(s)
-	return nil
-}
-
-// copySession relays backend→client in userspace until EOF or error.
-// Both directions carry a per-chunk deadline: the reader enforces
-// Config.IdleTimeout on a silent backend, the writer Config.StallTimeout
-// on a stalled client — the same two timeouts the Linux reactor's idle
-// sweep applies.
-func (sh *shard) copySession(s *session) {
-	buf := make([]byte, 64<<10)
-	src := &deadlineReader{c: s.backendConn, d: sh.eng.cfg.IdleTimeout}
-	dst := &deadlineWriter{c: s.clientConn, d: sh.eng.cfg.StallTimeout}
-	n, err := io.CopyBuffer(dst, src, buf)
-	sh.copyDone <- copyResult{s: s, bytes: n, err: err}
-}
-
-// deadlineWriter arms a write deadline before every chunk so a stalled
-// client cannot wedge the copy goroutine forever.
-type deadlineWriter struct {
-	c net.Conn
-	d time.Duration
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.d > 0 {
-		if err := w.c.SetWriteDeadline(time.Now().Add(w.d)); err != nil {
-			return 0, err
-		}
-	}
-	return w.c.Write(p)
-}
-
-// deadlineReader arms a read deadline before every chunk so a backend
-// that goes silent retires the session after Config.IdleTimeout instead
-// of pinning the copy goroutine until process shutdown. A timeout is
-// rewritten to errIdleTimeout, which io.CopyBuffer surfaces as the copy
-// error.
-type deadlineReader struct {
-	c net.Conn
-	d time.Duration
-}
-
-func (r *deadlineReader) Read(p []byte) (int, error) {
-	if r.d > 0 {
-		if err := r.c.SetReadDeadline(time.Now().Add(r.d)); err != nil {
-			return 0, err
-		}
-	}
-	n, err := r.c.Read(p)
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		err = errIdleTimeout
-	}
-	return n, err
-}
-
-// closeRelay has nothing to release here: the copy goroutine owns no
-// shard-visible resources and exits when retire closes the conns.
-func (sh *shard) closeRelay(s *session) {}
-
-// shutdown closes every live session's conns (unblocking the copy
-// goroutines), then reaps them all before releasing the shard.
-func (sh *shard) shutdown() {
-	now := sh.eng.monotonic()
-	live := len(sh.sessions)
-	for _, s := range sh.sessions {
-		_ = s.backendConn.Close()
-		_ = s.clientConn.Close()
-	}
-	for i := 0; i < live; i++ {
-		res := <-sh.copyDone
-		res.s.bytes = res.bytes
-		sh.retire(res.s, errRelayShutdown, now)
-	}
-	sh.drainIncoming(now)
-	sh.met.Set(sh.eng.met.gActive, 0)
-	sh.met.Publish()
-	sh.poller.close()
-}
+func (sh *shard) run()                                   { sh.eng.loopWG.Done() }
+func (sh *shard) startRelay(s *session, now int64) error { return errNoReactor }
+func (sh *shard) closeRelay(s *session)                  {}

@@ -19,8 +19,7 @@ const idleScanChunk = 256
 
 // session is one relayed stream's state between reactor wakes: two fds,
 // a kernel pipe holding in-flight bytes, and stall/idle stamps. It has
-// no goroutine and no timer on Linux; the !linux fallback runs one
-// copying goroutine per session instead.
+// no goroutine and no timer.
 type session struct {
 	id          uint64
 	clientConn  net.Conn
@@ -46,13 +45,6 @@ type session struct {
 	stallStart   int64
 	lastData     int64
 	bytes        int64
-
-	// Userspace fallback (first splice unsupported): a scratch buffer
-	// with an unwritten [pendOff, pendLen) tail.
-	fallback bool
-	pend     []byte
-	pendOff  int
-	pendLen  int
 }
 
 // shard owns a set of relay sessions and the reactor resources they
@@ -69,9 +61,6 @@ type shard struct {
 	incoming []*session
 	spare    []*session
 
-	//smoothvet:shared completion channel fed by !linux copy goroutines
-	copyDone chan copyResult
-
 	sessions []*session
 	byFd     []*session
 	idleCur  int
@@ -82,25 +71,17 @@ type shard struct {
 	rec *obs.FlightRecorder
 }
 
-// copyResult is one !linux copy goroutine's exit report.
-type copyResult struct {
-	s     *session
-	bytes int64
-	err   error
-}
-
 func newShard(e *Engine, idx int) (*shard, error) {
 	p, err := newPoller()
 	if err != nil {
 		return nil, err
 	}
 	return &shard{
-		eng:      e,
-		poller:   p,
-		byFd:     make([]*session, 1024),
-		copyDone: make(chan copyResult, 64),
-		met:      e.met.reg.Shard(idx),
-		rec:      e.recs[idx+1],
+		eng:    e,
+		poller: p,
+		byFd:   make([]*session, 1024),
+		met:    e.met.reg.Shard(idx),
+		rec:    e.recs[idx+1],
 	}, nil
 }
 
@@ -134,8 +115,8 @@ func (sh *shard) admit(now int64) {
 	sh.spare = pend[:0]
 }
 
-// register starts the relay for one placed session: the platform reactor
-// wires the fds (pipes + epoll on Linux, a copy goroutine elsewhere).
+// register starts the relay for one placed session: the reactor wires
+// its fds into the pipe pair and the epoll set.
 func (sh *shard) register(s *session, now int64) {
 	sh.met.Observe(sh.eng.met.hAdmitWait, (now-s.enqueued)/1000)
 	s.lastData = now

@@ -5,15 +5,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -284,129 +280,31 @@ func TestSynthPayloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestServeReceiveOverPipe exercises the real-time wrappers end to end over
-// an in-memory full-duplex connection.
-func TestServeReceiveOverPipe(t *testing.T) {
-	clipCfg := trace.DefaultGenConfig()
-	clipCfg.Frames = 40
-	clipCfg.MaxFrame = 30
-	clipCfg.MeanI, clipCfg.MeanP, clipCfg.MeanB = 20, 14, 6
-	clip, err := trace.Generate(clipCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	server, client := net.Pipe()
-	serveErr := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		serveErr <- Serve(server, clip, trace.PaperWeights(), ServeConfig{
-			Rate:         2 * int(clip.AverageRate()),
-			StepDuration: 200 * time.Microsecond,
-			MaxDelay:     16,
-		})
-	}()
-
-	var events int
-	stats, err := Receive(client, 0, 8, func(PlayEvent) { events++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	if stats.Delay != 8 {
-		t.Errorf("negotiated delay = %d, want 8", stats.Delay)
-	}
-	if stats.Corrupt != 0 {
-		t.Errorf("%d corrupt slices", stats.Corrupt)
-	}
-	// The link rate is 2x the average: with delay 8 nothing should drop.
-	if stats.Played != len(clip.Frames) {
-		t.Errorf("played %d of %d frames (incomplete %d)", stats.Played, len(clip.Frames), stats.Incomplete)
-	}
-	if events == 0 {
-		t.Error("no play events delivered")
-	}
-	if stats.LateBytes != 0 {
-		t.Errorf("late bytes: %d", stats.LateBytes)
-	}
-}
-
-func TestServeRejectsGarbageHello(t *testing.T) {
-	server, client := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 1}}}
-		done <- Serve(server, clip, trace.PaperWeights(), ServeConfig{Rate: 1})
-	}()
-	if err := client.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Write([]byte{msgHello, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	err := <-done
-	if err == nil {
-		t.Error("garbage hello accepted")
-	}
-	_ = client.Close()
-	if !strings.Contains(err.Error(), "magic") && !strings.Contains(err.Error(), "hello") {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
+// TestServeNegotiationBranches — NegotiateSession clamps the desired
+// delay to (0, maxDelay], lets a small advertised client buffer cap B (and
+// thus D), floors B at one step's worth, and always returns B = R·D.
 func TestServeNegotiationBranches(t *testing.T) {
-	clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 4}}}
-
-	// Desired delay above MaxDelay is clamped; a small advertised client
-	// buffer caps B (and thus D).
+	const rate, maxDelay = 2, 8
 	cases := []struct {
+		name      string
 		hello     Hello
-		wantDelay uint32
+		wantDelay int
 	}{
-		{Hello{DesiredDelay: 999}, 8},                // clamped to MaxDelay
-		{Hello{DesiredDelay: 0}, 8},                  // default to MaxDelay
-		{Hello{DesiredDelay: 6, ClientBuffer: 8}, 4}, // capped by client buffer: B=8 -> D=8/2
+		{"clamped to max", Hello{DesiredDelay: 999}, 8},
+		{"zero defaults to max", Hello{DesiredDelay: 0}, 8},
+		{"within range", Hello{DesiredDelay: 6}, 6},
+		{"loose client buffer", Hello{DesiredDelay: 6, ClientBuffer: 100}, 6},
+		{"capped by client buffer", Hello{DesiredDelay: 6, ClientBuffer: 8}, 4},
+		{"cap rounds down to whole steps", Hello{DesiredDelay: 6, ClientBuffer: 9}, 4},
+		{"buffer below rate floors at one step", Hello{DesiredDelay: 6, ClientBuffer: 1}, 1},
 	}
-	for i, tc := range cases {
-		server, client := net.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			defer server.Close()
-			done <- Serve(server, clip, trace.PaperWeights(), ServeConfig{
-				Rate:         2,
-				StepDuration: 100 * time.Microsecond,
-				MaxDelay:     8,
-			})
-		}()
-		if err := WriteHello(client, tc.hello); err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		delay, buffer := NegotiateSession(tc.hello, rate, maxDelay)
+		if delay != tc.wantDelay {
+			t.Errorf("%s: delay %d, want %d", tc.name, delay, tc.wantDelay)
 		}
-		msg, err := ReadMsg(client)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
+		if buffer != rate*delay {
+			t.Errorf("%s: buffer %d, want B = R·D = %d", tc.name, buffer, rate*delay)
 		}
-		if msg.Accept == nil || msg.Accept.Delay != tc.wantDelay {
-			t.Errorf("case %d: accept = %+v, want delay %d", i, msg.Accept, tc.wantDelay)
-		}
-		// Drain the rest of the session.
-		for {
-			m, err := ReadMsg(client)
-			if err != nil || m.End {
-				break
-			}
-		}
-		_ = client.Close()
-		<-done
-	}
-}
-
-func TestServeRejectsBadRate(t *testing.T) {
-	clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 1}}}
-	var buf bytes.Buffer
-	if err := Serve(&buf, clip, trace.PaperWeights(), ServeConfig{Rate: 0}); err == nil {
-		t.Error("rate 0 accepted")
 	}
 }

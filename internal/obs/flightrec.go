@@ -12,7 +12,7 @@ const (
 	// EvAdmit marks a session entering a shard's active set.
 	EvAdmit EventKind = iota
 	// EvCohortAssign marks a session binding to a cohort schedule plan
-	// (arg is an opaque cohort tag; absent for fallback sessions).
+	// (arg is the plan's step count).
 	EvCohortAssign
 	// EvFirstWrite marks a session's first payload write (serve) or first
 	// decoded message (loadgen); the distance from EvAdmit is startup lag.

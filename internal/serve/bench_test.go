@@ -13,20 +13,21 @@ import (
 // benchmarks never touch real connections, so the value is arbitrary.
 var benchNow = time.Unix(1, 0)
 
-// BenchmarkEngineStep measures one shard clock tick stepping many
-// registered sessions (the engine's unit of serving work): each session
-// advances its smoothing buffer one step, frames up to R payload bytes and
-// flushes them to its wire in one batched write. ns/op is the cost of one
-// tick over all sessions; divide by the session count for per-session cost.
-func BenchmarkEngineStep(b *testing.B) {
+// BenchmarkEngineStepDensity is the sessions-per-core gate for the
+// serving path: one shard tick over K same-clip sessions served from one
+// shared precomputed schedule (struct-of-arrays rows, pre-encoded
+// flushes). It is pinned at 0 allocs/op in steady state by the benchdiff
+// gate; the sess-steps/s metric is sessions advanced per second on the one
+// core driving the shard.
+func BenchmarkEngineStepDensity(b *testing.B) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = 200
 	clip, err := trace.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sessions := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("sessions=%d", sessions), func(b *testing.B) {
+	for _, sessions := range []int{1000, 10000, 100000} {
+		b.Run(fmt.Sprintf("cohort/sessions=%d", sessions), func(b *testing.B) {
 			eng, err := newEngine(clip, trace.PaperWeights(), Config{
 				Rate:         2 * int(clip.AverageRate()),
 				Shards:       1,
@@ -37,113 +38,35 @@ func BenchmarkEngineStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			sh := eng.shards[0]
-			register := func() {
-				for i := 0; i < sessions; i++ {
-					s, err := eng.newSession(io.Discard, 16, 16*eng.cfg.Rate)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sh.enqueue(admission{s: s})
-				}
+			c, _, err := eng.cohortFor(16)
+			if err != nil {
+				b.Fatal(err)
 			}
-			register()
+			// prime registers a full load and runs the admission tick
+			// off the clock, so the timed region measures steady state.
+			prime := func() {
+				for i := 0; i < sessions; i++ {
+					eng.active.Add(1)
+					eng.sessWG.Add(1)
+					sh.enqueue(cohortRow{cohort: c, w: io.Discard})
+				}
+				sh.step(benchNow)
+			}
+			prime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sh.step(benchNow)
-				if len(sh.sessions) == 0 {
+				if len(sh.rows.cursors) == 0 {
 					// Every session drained to End: refill off the clock.
 					b.StopTimer()
-					register()
+					prime()
 					b.StartTimer()
 				}
+				sh.step(benchNow)
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sess-steps/s")
 			eng.Close()
 		})
-	}
-}
-
-// BenchmarkEngineStepDensity is the sessions-per-core gate for the
-// compute-once-serve-many layer: one shard tick over K same-clip sessions,
-// cohort-served (shared precomputed schedule, struct-of-arrays rows,
-// pre-encoded flushes) versus the fallback per-session Sender path. The
-// cohort variants are pinned at 0 allocs/op in steady state by the
-// benchdiff gate; the sess-steps/s metric is sessions advanced per second
-// on the one core driving the shard.
-func BenchmarkEngineStepDensity(b *testing.B) {
-	cfg := trace.DefaultGenConfig()
-	cfg.Frames = 200
-	clip, err := trace.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	modes := []struct {
-		name     string
-		cohort   bool
-		sessions []int
-	}{
-		// The fallback path at 100k sessions would hold 100k private
-		// smoothing buffers (gigabytes); its own ceiling is the point of
-		// the comparison, so it stops at 10k.
-		{name: "cohort", cohort: true, sessions: []int{1000, 10000, 100000}},
-		{name: "fallback", cohort: false, sessions: []int{1000, 10000}},
-	}
-	for _, m := range modes {
-		for _, sessions := range m.sessions {
-			b.Run(fmt.Sprintf("%s/sessions=%d", m.name, sessions), func(b *testing.B) {
-				eng, err := newEngine(clip, trace.PaperWeights(), Config{
-					Rate:           2 * int(clip.AverageRate()),
-					Shards:         1,
-					StepDuration:   time.Millisecond, // never ticks: we drive the shard manually
-					MaxDelay:       16,
-					DisableCohorts: !m.cohort,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sh := eng.shards[0]
-				delay, buffer := 16, 16*eng.cfg.Rate
-				var c *Cohort
-				if m.cohort {
-					if c = eng.cohortFor(delay, buffer); c == nil {
-						b.Fatal("cohort cache refused the key")
-					}
-				}
-				// prime registers a full load and runs the admission tick
-				// off the clock, so the timed region measures steady state.
-				prime := func() {
-					for i := 0; i < sessions; i++ {
-						if m.cohort {
-							eng.active.Add(1)
-							eng.sessWG.Add(1)
-							sh.enqueue(admission{row: cohortRow{cohort: c, w: io.Discard}})
-						} else {
-							s, err := eng.newSession(io.Discard, delay, buffer)
-							if err != nil {
-								b.Fatal(err)
-							}
-							sh.enqueue(admission{s: s})
-						}
-					}
-					sh.step(benchNow)
-				}
-				prime()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if len(sh.sessions) == 0 && len(sh.rows.cursors) == 0 {
-						// Every session drained to End: refill off the clock.
-						b.StopTimer()
-						prime()
-						b.StartTimer()
-					}
-					sh.step(benchNow)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sess-steps/s")
-				eng.Close()
-			})
-		}
 	}
 }

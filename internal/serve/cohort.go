@@ -8,41 +8,32 @@ import (
 
 // The cohort schedule cache is the engine's compute-once-serve-many layer.
 // Per-session output is a pure function of (clip, rate, delay, buffer,
-// policy) — see the determinism contract in the package comment — so when
-// many VOD sessions play the same clip at the same negotiated parameters
-// there is exactly one schedule to compute and one byte stream to encode.
-// A Cohort memoizes both: the full per-step send/drop plan of a session,
-// replayed once through the very netstream.Sender + core.Server machinery
-// the fallback path uses, with every step's batched wire flush captured
-// into one immutable buffer. Serving a cohort session then costs a slice
-// index and a Write of pre-encoded bytes; no per-session smoothing buffer,
-// drop policy, or encoder exists at all.
+// policy) — see the determinism contract in the package comment. Rate,
+// clip and policy are engine-wide, and negotiation always yields
+// buffer = rate·delay, so the delay alone keys a schedule: there is
+// exactly one schedule to compute and one byte stream to encode per
+// delay. A Cohort memoizes both: the full per-step send/drop plan of a
+// session, replayed once through the netstream.Sender + core.Server
+// machinery, with every step's batched wire flush captured into one
+// immutable buffer. Serving a session then costs a slice index and a
+// Write of pre-encoded bytes; no per-session smoothing buffer, drop
+// policy, or encoder exists at all.
 //
 // Cohorts are immutable after construction and shared by every session of
 // the cohort across all shards; the aliasing is safe because nothing ever
 // writes to a cohort's wire buffer.
 
-// cohortKey identifies one schedule within an engine. Rate, clip and
-// policy are engine-wide, so the negotiated (delay, buffer) pair is the
-// full key.
-type cohortKey struct {
-	delay  int
-	buffer int
-}
-
 // Cohort is one precomputed serving plan: the concatenated wire bytes of
 // every step's batched flush (the final step additionally carries the End
-// marker) plus the cumulative drop counts the fallback path would have
-// reported step by step.
+// marker) plus the cumulative drop counts a Sender reports step by step.
 //
 //smoothvet:frozen immutable once published through the cohort cache
 type Cohort struct {
-	key cohortKey
 	// wire holds every step's encoded flush back to back; step i's bytes
 	// are wire[off[i]:off[i+1]]. The last step's bytes include the
-	// end-of-stream marker, so a completed cohort session's byte stream is
-	// exactly wire — proven byte-identical to the per-session Sender path
-	// by TestCohortGoldenEquivalence.
+	// end-of-stream marker, so a completed session's byte stream is
+	// exactly wire — proven byte-identical to a netstream.Sender replay by
+	// TestCohortGoldenEquivalence.
 	wire []byte
 	off  []int32
 	// drops[i] is the total number of slices shed by the smoothing buffer
@@ -90,28 +81,33 @@ func (r *planRecorder) Write(p []byte) (int, error) {
 
 func (r *planRecorder) endStep() { r.off = append(r.off, int32(len(r.wire))) }
 
-// buildCohort replays one full session through the per-session Sender path
-// into a recorder, producing the shared plan. It runs once per cohort key
-// (under the cache's once), typically at the first Handle that negotiates
-// the key's parameters.
-func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
+// buildCohort replays one full session at the given delay (and so
+// B = R·delay) through a Sender into a recorder, producing the shared
+// plan. It runs once per delay, under the cache entry's once, at the first
+// Handle that negotiates that delay.
+func (e *Engine) buildCohort(delay int) (*Cohort, error) {
 	rec := &planRecorder{off: []int32{0}}
 	snd, err := netstream.NewSender(rec, netstream.SenderConfig{
-		ServerBuffer: key.buffer,
+		ServerBuffer: e.cfg.Rate * delay,
 		Rate:         e.cfg.Rate,
-		Delay:        key.delay,
+		Delay:        delay,
 		Policy:       e.cfg.Policy,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Cohort{key: key}
+	c := &Cohort{}
 	horizon := e.st.Horizon()
 	dropped := 0
+	// One offer slice serves every step: Tick copies the slices out and
+	// keeps only the shared payloads.
+	var offers []netstream.Offered
 	for step := 0; ; step++ {
-		var offers []netstream.Offered
+		offers = offers[:0]
 		if step <= horizon {
-			offers = e.offersAt(step)
+			for _, sl := range e.st.ArrivalsAt(step) {
+				offers = append(offers, netstream.Offered{Slice: sl, Payload: e.payloads[sl.ID]})
+			}
 		}
 		stats, err := snd.Tick(offers)
 		if err != nil {
@@ -120,8 +116,7 @@ func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 		dropped += len(stats.Dropped)
 		done := step+1 > horizon && snd.Backlog() == 0
 		if done {
-			// The End marker leaves in the same tick as the final flush,
-			// exactly like session.stepOnce on the fallback path.
+			// The End marker leaves in the same tick as the final flush.
 			if err := netstream.WriteEnd(rec); err != nil {
 				return nil, err
 			}
@@ -136,56 +131,24 @@ func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 	return c, nil
 }
 
-// cohortCache memoizes cohorts per key. The double-checked entry/once
-// layout keeps the map lock out of plan computation: concurrent Handles of
-// the same key block on one build, Handles of other keys proceed.
-type cohortCache struct {
-	mu sync.Mutex
-	m  map[cohortKey]*cohortEntry
-}
-
+// cohortEntry is one slot of the engine's dense per-delay plan table.
+// Concurrent Handles at the same delay block on one build; Handles at
+// other delays proceed.
 type cohortEntry struct {
 	once sync.Once
 	c    *Cohort
 	err  error
 }
 
-// cohortFor returns the shared cohort for the negotiated parameters,
-// building it on first use. It returns nil when cohort serving is disabled
-// or the cache is at capacity — callers then use the per-session Sender
-// path, which produces byte-identical output.
-func (e *Engine) cohortFor(delay, buffer int) *Cohort {
-	if e.cfg.DisableCohorts {
-		return nil
-	}
-	key := cohortKey{delay: delay, buffer: buffer}
-	e.cohorts.mu.Lock()
-	ent, ok := e.cohorts.m[key]
-	if !ok {
-		max := e.cfg.MaxCohorts
-		if max <= 0 {
-			max = defaultMaxCohorts
-		}
-		if len(e.cohorts.m) >= max {
-			e.cohorts.mu.Unlock()
-			return nil
-		}
-		ent = &cohortEntry{}
-		e.cohorts.m[key] = ent
-	}
-	e.cohorts.mu.Unlock()
-	ent.once.Do(func() { ent.c, ent.err = e.buildCohort(key) })
-	if ent.err != nil {
-		// A key whose plan cannot be built (the fallback Sender would fail
-		// identically) is not retried; Handle surfaces the error through
-		// the fallback path.
-		return nil
-	}
-	return ent.c
+// cohortFor returns the shared cohort for a negotiated delay, building it
+// on first use; built reports whether this call ran the build. A delay
+// whose plan cannot be built is not retried: every later call returns the
+// same error.
+func (e *Engine) cohortFor(delay int) (c *Cohort, built bool, err error) {
+	ent := &e.cohorts[delay]
+	ent.once.Do(func() {
+		ent.c, ent.err = e.buildCohort(delay)
+		built = true
+	})
+	return ent.c, built, ent.err
 }
-
-// defaultMaxCohorts bounds distinct (delay, buffer) plans cached per
-// engine. Each plan holds one encoded copy of the clip; sessions beyond
-// the cap are served by the fallback path rather than growing memory
-// without bound.
-const defaultMaxCohorts = 128

@@ -3,45 +3,89 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/drop"
+	"repro/internal/netstream"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
-// replayFallback drives one per-session Sender path session to completion
-// against a capture buffer and returns the exact byte stream plus the
-// step/drop counters the engine would have reported.
-func replayFallback(t *testing.T, eng *Engine, delay, buffer int) (wire []byte, steps, dropped int) {
+// replaySender is the reference the cohort plans are held to: one session
+// at B = R·delay driven through a bare netstream.Sender against a capture
+// buffer, offering each step's arrivals with freshly synthesized payloads
+// and writing End in the tick that drains the buffer past the horizon. It
+// returns the exact byte stream plus the step and drop counts.
+func replaySender(t *testing.T, clip *trace.Clip, rate, delay int, policy drop.Factory) (wire []byte, steps, dropped int) {
 	t.Helper()
-	var buf bytes.Buffer
-	s, err := eng.newSession(&buf, delay, buffer)
+	st, err := trace.WholeFrameStream(clip, trace.PaperWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for {
-		done, err := s.stepOnce()
-		if err != nil {
-			t.Fatalf("fallback step %d: %v", s.step, err)
+	var buf bytes.Buffer
+	snd, err := netstream.NewSender(&buf, netstream.SenderConfig{
+		ServerBuffer: rate * delay, Rate: rate, Delay: delay, Policy: policy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; ; step++ {
+		var offers []netstream.Offered
+		if step <= st.Horizon() {
+			offers = netstream.OfferStream(st, step, func(sl stream.Slice) []byte {
+				return netstream.SynthPayload(sl.ID, sl.Size)
+			})
 		}
-		if done {
-			break
+		stats, err := snd.Tick(offers)
+		if err != nil {
+			t.Fatalf("reference step %d: %v", step, err)
+		}
+		dropped += len(stats.Dropped)
+		if step+1 > st.Horizon() && snd.Backlog() == 0 {
+			if err := netstream.WriteEnd(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), step + 1, dropped
 		}
 	}
-	steps, dropped = s.step, s.dropped
-	s.finish(time.Now(), nil)
-	return buf.Bytes(), steps, dropped
+}
+
+// captureSession runs one client over net.Pipe against eng.Handle: it
+// sends Hello for the delay, checks the Accept, and returns every byte the
+// engine wrote after it, up to the close that ends the session.
+func captureSession(eng *Engine, delay int) ([]byte, error) {
+	server, client := net.Pipe()
+	defer client.Close()
+	handled := make(chan error, 1)
+	go func() { handled <- eng.Handle(server) }()
+	if err := netstream.WriteHello(client, netstream.Hello{DesiredDelay: uint32(delay)}); err != nil {
+		return nil, err
+	}
+	msg, err := netstream.ReadMsg(client)
+	if err != nil {
+		return nil, err
+	}
+	if msg.Accept == nil || int(msg.Accept.Delay) != delay || int(msg.Accept.ServerBuffer) != eng.Rate()*delay {
+		return nil, fmt.Errorf("accept %+v, want delay %d, B = %d", msg.Accept, delay, eng.Rate()*delay)
+	}
+	wire, err := io.ReadAll(client)
+	if err != nil {
+		return nil, err
+	}
+	return wire, <-handled
 }
 
 // TestCohortGoldenEquivalence is the contract of the compute-once layer:
-// for every policy, negotiated parameter set and provisioning level, the
-// cohort's precomputed wire stream must be byte-identical to what the
-// per-session Sender path writes, and its step/drop bookkeeping must
-// match the fallback session's counters.
+// for every policy, link provisioning and negotiated delay, the bytes a
+// client receives through Engine.Handle must be identical to a reference
+// netstream.Sender replay at B = R·D, and the session's reported steps and
+// drops — read off the shared plan — must match the replay's counters.
 func TestCohortGoldenEquivalence(t *testing.T) {
 	clip := testClip(t, 40)
 	policies := []struct {
@@ -53,46 +97,60 @@ func TestCohortGoldenEquivalence(t *testing.T) {
 		{"headdrop", drop.HeadDrop},
 		{"random", drop.Random(7)},
 	}
-	// Rate factors below 1 force drops; delay/buffer pairs include a
-	// client-capped buffer (buffer < rate*delay is impossible after
-	// negotiation, but unequal ratios are).
+	// Rate factors below 1 force drops.
 	for _, p := range policies {
 		for _, rateFactor := range []float64{0.8, 1.0, 2.0} {
 			rate := int(rateFactor * clip.AverageRate())
 			if rate < 1 {
 				rate = 1
 			}
-			eng, err := newEngine(clip, trace.PaperWeights(), Config{
+			var mu sync.Mutex
+			var reported, want []string
+			eng, err := New(clip, trace.PaperWeights(), Config{
 				Rate:         rate,
-				Shards:       1,
-				StepDuration: time.Millisecond,
+				Shards:       2,
+				StepDuration: 50 * time.Microsecond,
 				MaxDelay:     16,
 				Policy:       p.factory,
+				OnSessionDone: func(s SessionStats, err error) {
+					if err != nil {
+						t.Errorf("session %s: %v", s.Remote, err)
+					}
+					mu.Lock()
+					reported = append(reported, fmt.Sprintf("steps=%d dropped=%d", s.Steps, s.Dropped))
+					mu.Unlock()
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, d := range []int{2, 8, 16} {
-				for _, buffer := range []int{rate * d, rate * d * 2} {
-					name := fmt.Sprintf("%s/rf=%.1f/D=%d/B=%d", p.name, rateFactor, d, buffer)
-					c := eng.cohortFor(d, buffer)
-					if c == nil {
-						t.Fatalf("%s: cohort cache refused the key", name)
-					}
-					wire, steps, dropped := replayFallback(t, eng, d, buffer)
-					if !bytes.Equal(c.wire, wire) {
-						t.Fatalf("%s: cohort wire (%d bytes) differs from fallback (%d bytes)",
-							name, len(c.wire), len(wire))
-					}
-					if c.Steps() != steps {
-						t.Fatalf("%s: cohort plans %d steps, fallback ran %d", name, c.Steps(), steps)
-					}
-					if got := c.droppedThrough(int32(c.Steps())); got != dropped {
-						t.Fatalf("%s: cohort dropped %d, fallback %d", name, got, dropped)
-					}
+				name := fmt.Sprintf("%s/rf=%.1f/D=%d", p.name, rateFactor, d)
+				got, err := captureSession(eng, d)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
+				wire, steps, dropped := replaySender(t, clip, rate, d, p.factory)
+				if !bytes.Equal(got, wire) {
+					t.Fatalf("%s: client received %d bytes, reference Sender wrote %d", name, len(got), len(wire))
+				}
+				c := eng.cohorts[d].c
+				if c.Steps() != steps {
+					t.Fatalf("%s: plan runs %d steps, reference %d", name, c.Steps(), steps)
+				}
+				if got := c.droppedThrough(int32(c.Steps())); got != dropped {
+					t.Fatalf("%s: plan dropped %d, reference %d", name, got, dropped)
+				}
+				want = append(want, fmt.Sprintf("steps=%d dropped=%d", steps, dropped))
 			}
+			// Close waits for the shard loops, so every OnSessionDone has
+			// run; the retirement report must carry the reference counts.
 			eng.Close()
+			sort.Strings(reported)
+			sort.Strings(want)
+			if fmt.Sprint(reported) != fmt.Sprint(want) {
+				t.Fatalf("%s/rf=%.1f: sessions reported %v, reference %v", p.name, rateFactor, reported, want)
+			}
 		}
 	}
 }
@@ -111,9 +169,9 @@ func TestCohortStepSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	c := eng.cohortFor(8, 8*eng.cfg.Rate)
-	if c == nil {
-		t.Fatal("cohort cache refused the key")
+	c, _, err := eng.cohortFor(8)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var joined []byte
 	prev := 0
@@ -133,9 +191,9 @@ func TestCohortStepSlices(t *testing.T) {
 	}
 }
 
-// TestCohortCache — one build per key, pointer-shared across lookups;
-// distinct keys get distinct plans; the capacity cap and the disable
-// switch both fall back to nil (the per-session path).
+// TestCohortCache — the plan table is dense over 1..MaxDelay: one build
+// per delay, pointer-shared across lookups, distinct delays get distinct
+// plans, and every delay up to MaxDelay is cacheable (there is no cap).
 func TestCohortCache(t *testing.T) {
 	clip := testClip(t, 10)
 	eng, err := newEngine(clip, trace.PaperWeights(), Config{
@@ -143,47 +201,38 @@ func TestCohortCache(t *testing.T) {
 		Shards:       1,
 		StepDuration: time.Millisecond,
 		MaxDelay:     8,
-		MaxCohorts:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	r := eng.cfg.Rate
-	a1 := eng.cohortFor(4, 4*r)
-	a2 := eng.cohortFor(4, 4*r)
-	if a1 == nil || a1 != a2 {
-		t.Fatalf("same key not shared: %p vs %p", a1, a2)
+	if len(eng.cohorts) != 9 {
+		t.Fatalf("plan table holds %d entries, want MaxDelay+1 = 9", len(eng.cohorts))
 	}
-	b := eng.cohortFor(8, 8*r)
-	if b == nil || b == a1 {
-		t.Fatal("distinct keys must get distinct cohorts")
+	a1, built1, err := eng.cohortFor(4)
+	if err != nil || !built1 {
+		t.Fatalf("first lookup: built=%v err=%v", built1, err)
 	}
-	if c := eng.cohortFor(2, 2*r); c != nil {
-		t.Fatal("cache over capacity must fall back to the per-session path")
+	a2, built2, err := eng.cohortFor(4)
+	if err != nil || built2 || a1 != a2 {
+		t.Fatalf("same delay not shared: %p vs %p (rebuilt: %v, err %v)", a1, a2, built2, err)
 	}
-	// Existing keys keep hitting after the cap.
-	if got := eng.cohortFor(4, 4*r); got != a1 {
-		t.Fatal("cached key evicted by capacity pressure")
-	}
-
-	eng2, err := newEngine(clip, trace.PaperWeights(), Config{
-		Rate:           2 * int(clip.AverageRate()),
-		Shards:         1,
-		StepDuration:   time.Millisecond,
-		DisableCohorts: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if c := eng2.cohortFor(4, 4*eng2.cfg.Rate); c != nil {
-		t.Fatal("DisableCohorts engine must not build cohorts")
+	seen := map[*Cohort]bool{}
+	for d := 1; d <= 8; d++ {
+		c, _, err := eng.cohortFor(d)
+		if err != nil {
+			t.Fatalf("delay %d: %v", d, err)
+		}
+		if seen[c] {
+			t.Fatalf("delay %d shares a plan with another delay", d)
+		}
+		seen[c] = true
 	}
 }
 
-// TestCohortCacheConcurrent — many goroutines racing the same key must
-// share one build (run under -race in CI).
+// TestCohortCacheConcurrent — many goroutines racing the same delay must
+// share one build, and exactly one of them reports building it (run under
+// -race in CI).
 func TestCohortCacheConcurrent(t *testing.T) {
 	clip := testClip(t, 10)
 	eng, err := newEngine(clip, trace.PaperWeights(), Config{
@@ -197,12 +246,20 @@ func TestCohortCacheConcurrent(t *testing.T) {
 	defer eng.Close()
 	const gs = 16
 	got := make([]*Cohort, gs)
+	var builds atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < gs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = eng.cohortFor(8, 8*eng.cfg.Rate)
+			c, built, err := eng.cohortFor(8)
+			if err != nil {
+				t.Error(err)
+			}
+			if built {
+				builds.Add(1)
+			}
+			got[i] = c
 		}(i)
 	}
 	wg.Wait()
@@ -210,6 +267,9 @@ func TestCohortCacheConcurrent(t *testing.T) {
 		if got[i] == nil || got[i] != got[0] {
 			t.Fatalf("goroutine %d got %p, goroutine 0 got %p", i, got[i], got[0])
 		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d goroutines report building the plan, want 1", n)
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package serve is the sharded multi-session serving engine: the
 // production-shaped deployment of the paper's Fig. 1 system. Instead of one
-// goroutine and one time.Ticker per connection (netstream.Serve), the
-// engine runs N shard loops, each driven by a single clock that steps every
-// session registered on the shard. Sessions are assigned to shards by
-// connection hash, and all of a session's per-step work — arrivals, the
-// smoothing-buffer step, framing, the batched wire flush — happens on its
-// shard goroutine, so sessions need no locks of their own.
+// goroutine and one time.Ticker per connection, the engine runs N shard
+// loops, each driven by a single clock that steps every session registered
+// on the shard. Sessions are assigned to shards by connection hash, and all
+// of a session's per-step work happens on its shard goroutine, so sessions
+// need no locks of their own.
 //
 // Per-session output is completely determined by the clip, the drop policy
 // and the negotiated (B, R, D): shard assignment only decides *which*
@@ -13,17 +12,18 @@
 // sees is identical for any shard count (engine_test.go locks this down,
 // mirroring the sweep engine's worker-count invariance).
 //
-// The same purity powers the engine's compute-once-serve-many layer
-// (cohort.go): sessions that negotiate identical (delay, buffer) share one
-// precomputed schedule and one pre-encoded byte stream, their hot state
-// collapses to a cohort pointer and a step cursor held in shard-owned
-// parallel arrays, and a shard tick over them is a contiguous walk that
-// writes shared immutable buffers. Sessions with bespoke parameters (cache
-// disabled or at capacity) keep the per-session Sender path, which is
-// byte-identical by construction and by golden test.
+// The same purity makes serving compute-once-serve-many (cohort.go).
+// Negotiation always yields B = R·D, so the delay alone names a session's
+// schedule: every session at one delay shares one precomputed plan and one
+// pre-encoded byte stream, its hot state collapses to a cohort pointer and
+// a step cursor held in shard-owned parallel arrays, and a shard tick over
+// them is a contiguous walk that writes shared immutable buffers. There is
+// one serving path; the plan is proven byte-identical to a netstream.Sender
+// replay by golden test.
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
@@ -53,21 +53,15 @@ type Config struct {
 	// Defaults to 40ms (25 frames/second).
 	StepDuration time.Duration
 	// MaxDelay caps the smoothing delay granted to a client, in steps.
-	// Defaults to 64.
+	// Defaults to 64. Plans are cached per delay, so it also bounds the
+	// engine's plan memory: at most MaxDelay plans, each one encoded copy
+	// of the clip.
 	MaxDelay int
 	// Policy selects the drop policy (default drop.Greedy).
 	Policy drop.Factory
 	// WriteTimeout bounds each batched wire flush so one dead client
 	// cannot stall its shard forever. Defaults to 30s; negative disables.
 	WriteTimeout time.Duration
-	// DisableCohorts turns off the cohort schedule cache, serving every
-	// session through its own Sender. The wire bytes are identical either
-	// way; the cache only changes the cost of producing them.
-	DisableCohorts bool
-	// MaxCohorts caps distinct (delay, buffer) plans cached per engine
-	// (0 = a sensible default); sessions past the cap use the fallback
-	// per-session path.
-	MaxCohorts int
 	// OnSessionDone, if non-nil, is called from the shard goroutine after
 	// a session ends (err is nil for a clean drain to End).
 	OnSessionDone func(s SessionStats, err error)
@@ -94,16 +88,9 @@ type Engine struct {
 	st  *stream.Stream
 	//smoothvet:frozen per-slice synthesized payload, shared by all sessions
 	payloads [][]byte
-	// stepOffers[t] is the ready-made offer slice for model step t —
-	// arrivals paired with their shared payloads — built once and read by
-	// every fallback session and cohort build instead of being rebuilt
-	// per session per tick.
-	//
-	//smoothvet:frozen
-	stepOffers [][]netstream.Offered
-	shards     []*shard
-	seed       maphash.Seed
-	cohorts    cohortCache
+	shards   []*shard
+	seed     maphash.Seed
+	cohorts  []cohortEntry // indexed by negotiated delay, 1..MaxDelay
 
 	met     *engineMetrics
 	recs    []*obs.FlightRecorder
@@ -154,23 +141,12 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, st: st, seed: maphash.MakeSeed()}
-	e.cohorts.m = make(map[cohortKey]*cohortEntry)
+	e.cohorts = make([]cohortEntry, cfg.MaxDelay+1)
 	// Payload bytes depend only on (slice ID, size): synthesize them once
-	// and share across every session instead of per session per step.
+	// and share them across every plan build.
 	e.payloads = make([][]byte, st.Len())
 	for id := 0; id < st.Len(); id++ {
 		e.payloads[id] = netstream.SynthPayload(id, st.Slice(id).Size)
-	}
-	// Likewise the per-step offers: the arrival schedule is engine-wide,
-	// so pair each step's slices with their payloads exactly once.
-	e.stepOffers = make([][]netstream.Offered, st.Horizon()+1)
-	for t := 0; t <= st.Horizon(); t++ {
-		arr := st.ArrivalsAt(t)
-		offers := make([]netstream.Offered, len(arr))
-		for i, sl := range arr {
-			offers[i] = netstream.Offered{Slice: sl, Payload: e.payloads[sl.ID]}
-		}
-		e.stepOffers[t] = offers
 	}
 	e.met = newEngineMetrics(e, cfg.Shards, cfg.Instrument)
 	e.recs = make([]*obs.FlightRecorder, cfg.Shards)
@@ -182,23 +158,14 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	return e, nil
 }
 
-// offersAt returns the shared offer slice for one model step. The result
-// aliases engine-owned memory shared read-only by every session; callers
-// must not mutate it or its payloads.
-//
-//smoothvet:aliased
-//smoothvet:noalloc
-func (e *Engine) offersAt(step int) []netstream.Offered {
-	return e.stepOffers[step]
-}
-
 // Rate returns the configured link rate in payload bytes per step.
 func (e *Engine) Rate() int { return e.cfg.Rate }
 
 // Shards returns the number of shard loops.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// ActiveSessions returns the number of sessions currently registered.
+// ActiveSessions returns the number of sessions currently registered or
+// holding a slot through their handshake.
 func (e *Engine) ActiveSessions() int { return int(e.active.Load()) }
 
 // ServedSessions returns the number of sessions finished since start.
@@ -207,31 +174,62 @@ func (e *Engine) ServedSessions() int { return int(e.served.Load()) }
 // Handle performs the netstream handshake on the caller's goroutine (the
 // Hello read blocks), registers the session on a shard chosen by connection
 // hash, and returns; the shard clock drives the session to completion and
-// closes the connection. Sessions whose negotiated parameters hit the
-// cohort cache are registered in the shard's struct-of-arrays cohort rows;
-// the rest get a private Sender. On rejection (engine draining, session
-// limit, bad handshake) the connection is closed and an error returned.
+// closes the connection. On rejection (engine draining, session limit, bad
+// handshake, unbuildable plan) the connection is closed and an error
+// returned.
 func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: engine is draining")
+		return e.reject(conn, errDraining)
 	}
-	if max := e.cfg.MaxSessions; max > 0 && e.active.Load() >= int64(max) {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: session limit %d reached", max)
+	// The slot is reserved before the blocking Hello read, so concurrent
+	// handshakes cannot all pass the MaxSessions check.
+	if !e.reserve() {
+		return e.reject(conn, fmt.Errorf("serve: session limit %d reached", e.cfg.MaxSessions))
 	}
+	sh, row, err := e.handshake(conn)
+	if err == nil {
+		e.sessWG.Add(1)
+		if sh.enqueue(row) {
+			return nil
+		}
+		e.sessWG.Done()
+		err = errDraining
+	}
+	e.active.Add(-1)
+	return e.reject(conn, err)
+}
+
+// reserve takes one session slot, failing when MaxSessions are taken.
+func (e *Engine) reserve() bool {
+	max := int64(e.cfg.MaxSessions)
+	for {
+		n := e.active.Load()
+		if max > 0 && n >= max {
+			return false
+		}
+		if e.active.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// reject counts and closes a refused connection, passing err through.
+func (e *Engine) reject(conn net.Conn, err error) error {
+	e.met.reg.GlobalInc(e.met.cRejected)
+	_ = conn.Close()
+	return err
+}
+
+// handshake reads the client's Hello, answers with the negotiated Accept
+// and resolves the session's cohort plan. It returns the row to register
+// and the shard that owns it.
+func (e *Engine) handshake(conn net.Conn) (*shard, cohortRow, error) {
 	msg, err := netstream.ReadMsg(conn)
 	if err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: reading hello: %w", err)
+		return nil, cohortRow{}, fmt.Errorf("serve: reading hello: %w", err)
 	}
 	if msg.Hello == nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: expected hello, got %+v", msg)
+		return nil, cohortRow{}, fmt.Errorf("serve: expected hello, got %+v", msg)
 	}
 	delay, buffer := netstream.NegotiateSession(*msg.Hello, e.cfg.Rate, e.cfg.MaxDelay)
 	if err := netstream.WriteAccept(conn, netstream.Accept{
@@ -240,9 +238,16 @@ func (e *Engine) Handle(conn net.Conn) error {
 		ServerBuffer: uint32(buffer),
 		StepMicros:   uint32(e.cfg.StepDuration / time.Microsecond),
 	}); err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: writing accept: %w", err)
+		return nil, cohortRow{}, fmt.Errorf("serve: writing accept: %w", err)
+	}
+	c, built, err := e.cohortFor(delay)
+	if err != nil {
+		return nil, cohortRow{}, fmt.Errorf("serve: building the plan for delay %d: %w", delay, err)
+	}
+	if built {
+		e.met.reg.GlobalInc(e.met.cCohortMiss)
+	} else {
+		e.met.reg.GlobalInc(e.met.cCohortHits)
 	}
 	remote := conn.RemoteAddr().String()
 	sh := e.shards[e.shardOf(remote)]
@@ -252,39 +257,9 @@ func (e *Engine) Handle(conn net.Conn) error {
 		// shard must be fixed before the writer is built.
 		w = &deadlineWriter{c: conn, d: e.cfg.WriteTimeout, clk: &sh.clk}
 	}
-	id := e.sessSeq.Add(1)
-	if c := e.cohortFor(delay, buffer); c != nil {
-		e.met.reg.GlobalInc(e.met.cCohortHits)
-		e.active.Add(1)
-		e.sessWG.Add(1)
-		if !sh.enqueue(admission{row: cohortRow{
-			cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: id,
-		}}) {
-			e.met.reg.GlobalInc(e.met.cRejected)
-			e.active.Add(-1)
-			e.sessWG.Done()
-			_ = conn.Close()
-			return fmt.Errorf("serve: engine is draining")
-		}
-		return nil
-	}
-	e.met.reg.GlobalInc(e.met.cCohortMiss)
-	s, err := e.newSession(w, delay, buffer)
-	if err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return err
-	}
-	s.conn = conn
-	s.remote = remote
-	s.id = id
-	if !sh.enqueue(admission{s: s}) {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		e.unregister(s)
-		_ = conn.Close()
-		return fmt.Errorf("serve: engine is draining")
-	}
-	return nil
+	return sh, cohortRow{
+		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
+	}, nil
 }
 
 // shardOf picks the shard for a connection by hashing its remote address.
@@ -293,32 +268,6 @@ func (e *Engine) shardOf(remote string) int {
 	h.SetSeed(e.seed)
 	_, _ = h.WriteString(remote) // never fails per hash.Hash contract
 	return int(h.Sum64() % uint64(len(e.shards)))
-}
-
-// newSession builds a registered fallback session writing to w. The caller
-// (or the shard loop, once enqueued) is responsible for eventually calling
-// finish.
-func (e *Engine) newSession(w io.Writer, delay, buffer int) (*session, error) {
-	snd, err := netstream.NewSender(w, netstream.SenderConfig{
-		ServerBuffer: buffer,
-		Rate:         e.cfg.Rate,
-		Delay:        delay,
-		Policy:       e.cfg.Policy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &session{eng: e, w: w, snd: snd, start: time.Now()}
-	e.active.Add(1)
-	e.sessWG.Add(1)
-	return s, nil
-}
-
-// unregister reverses newSession's accounting without counting the session
-// as served (used when registration fails after the fact).
-func (e *Engine) unregister(s *session) {
-	e.active.Add(-1)
-	e.sessWG.Done()
 }
 
 // Drain stops admitting sessions and waits up to timeout for the in-flight
@@ -351,6 +300,9 @@ func (e *Engine) Close() {
 // errAborted reports a session cut off by Close before its stream drained.
 var errAborted = fmt.Errorf("serve: engine closed mid-stream")
 
+// errDraining rejects a connection offered after Drain or Close began.
+var errDraining = errors.New("serve: engine is draining")
+
 // ---------------------------------------------------------------------------
 // Shards.
 // ---------------------------------------------------------------------------
@@ -362,14 +314,7 @@ type tickClock struct {
 	nanos atomic.Int64
 }
 
-// admission hands one freshly handshaken session to a shard loop: either a
-// fallback *session or a cohort row (exactly one is set).
-type admission struct {
-	s   *session
-	row cohortRow
-}
-
-// cohortRow is the registration-time state of one cohort-served session.
+// cohortRow is the registration-time state of one session.
 // Its hot fields (cohort pointer, cursor) move into the shard's parallel
 // arrays on admit; the rest stays in the cold array, touched only at
 // retirement.
@@ -382,7 +327,7 @@ type cohortRow struct {
 	id     uint64 // flight-recorder session id
 }
 
-// cohortRows is the shard-owned struct-of-arrays state of cohort-served
+// cohortRows is the shard-owned struct-of-arrays state of the shard's
 // sessions. A shard tick walks cursors/cohorts contiguously — no
 // per-session pointer chase — and retires finished rows by swap-remove.
 // The three slices are parallel: row i is (cohorts[i], cursors[i],
@@ -409,10 +354,9 @@ type shard struct {
 	//smoothvet:shared set under mu; checked by enqueue from acceptor goroutines
 	draining bool
 	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []admission
+	incoming []cohortRow
 
-	sessions []*session // fallback (bespoke-parameter) sessions
-	rows     cohortRows // cohort-served sessions, struct-of-arrays
+	rows cohortRows // registered sessions, struct-of-arrays
 
 	// met and rec are this shard's obs slots and flight ring: recorded
 	// into only by the shard goroutine, read elsewhere only through their
@@ -423,13 +367,13 @@ type shard struct {
 
 // enqueue hands a freshly handshaken session to the shard loop. It reports
 // false if the shard has already shut down.
-func (sh *shard) enqueue(a admission) bool {
+func (sh *shard) enqueue(r cohortRow) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.draining {
 		return false
 	}
-	sh.incoming = append(sh.incoming, a)
+	sh.incoming = append(sh.incoming, r)
 	return true
 }
 
@@ -463,17 +407,17 @@ func (sh *shard) admit() {
 	now := sh.clk.nanos.Load()
 	for i := range inc {
 		sh.met.Inc(sh.eng.met.cAdmitted)
-		if s := inc[i].s; s != nil {
-			sh.rec.Record(now, obs.EvAdmit, s.id, 0)
-			sh.sessions = append(sh.sessions, s)
-			continue
-		}
-		sh.rec.Record(now, obs.EvAdmit, inc[i].row.id, 0)
-		sh.rec.Record(now, obs.EvCohortAssign, inc[i].row.id, int64(inc[i].row.cohort.Steps()))
-		sh.rows.cohorts = append(sh.rows.cohorts, inc[i].row.cohort)
-		sh.rows.cursors = append(sh.rows.cursors, 0)
-		sh.rows.cold = append(sh.rows.cold, inc[i].row)
+		sh.rec.Record(now, obs.EvAdmit, inc[i].id, 0)
+		sh.rec.Record(now, obs.EvCohortAssign, inc[i].id, int64(inc[i].cohort.Steps()))
+		sh.addRow(inc[i])
 	}
+}
+
+// addRow appends one session to the shard's parallel arrays at cursor 0.
+func (sh *shard) addRow(r cohortRow) {
+	sh.rows.cohorts = append(sh.rows.cohorts, r.cohort)
+	sh.rows.cursors = append(sh.rows.cursors, 0)
+	sh.rows.cold = append(sh.rows.cold, r)
 }
 
 // step advances every session on the shard by one model step, retiring the
@@ -487,24 +431,7 @@ func (sh *shard) step(now time.Time) {
 	sh.clk.nanos.Store(now.UnixNano())
 	sh.admit()
 	sh.stepRows()
-	live := sh.sessions[:0]
-	for _, s := range sh.sessions {
-		if s.step == 0 {
-			sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, s.id, 0)
-		}
-		done, err := s.stepOnce()
-		if done || err != nil {
-			s.finish(now, err)
-			sh.noteSessionEnd(s.id, s.step, err)
-		} else {
-			live = append(live, s)
-		}
-	}
-	for i := len(live); i < len(sh.sessions); i++ {
-		sh.sessions[i] = nil // release finished sessions to the collector
-	}
-	sh.sessions = live
-	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.sessions)+len(sh.rows.cursors)))
+	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.rows.cursors)))
 }
 
 // stepRows advances the cohort rows one model step: a contiguous walk over
@@ -590,97 +517,20 @@ func (sh *shard) retireRow(j int, cur int32, err error) {
 func (sh *shard) shutdown() {
 	// Re-stamp the tick clock so retirements during drain report an
 	// Elapsed that covers the time since the last tick.
-	now := time.Now()
-	sh.clk.nanos.Store(now.UnixNano())
+	sh.clk.nanos.Store(time.Now().UnixNano())
 	sh.mu.Lock()
 	sh.draining = true
 	inc := sh.incoming
 	sh.incoming = nil
 	sh.mu.Unlock()
 	for i := range inc {
-		if s := inc[i].s; s != nil {
-			sh.sessions = append(sh.sessions, s)
-			continue
-		}
-		sh.rows.cohorts = append(sh.rows.cohorts, inc[i].row.cohort)
-		sh.rows.cursors = append(sh.rows.cursors, 0)
-		sh.rows.cold = append(sh.rows.cold, inc[i].row)
+		sh.addRow(inc[i])
 	}
-	for _, s := range sh.sessions {
-		s.finish(now, errAborted)
-		sh.noteSessionEnd(s.id, s.step, errAborted)
-	}
-	sh.sessions = nil
-	for len(sh.rows.cursors) > 0 {
-		sh.retireRow(len(sh.rows.cursors)-1, sh.rows.cursors[len(sh.rows.cursors)-1], errAborted)
+	for n := len(sh.rows.cursors); n > 0; n = len(sh.rows.cursors) {
+		sh.retireRow(n-1, sh.rows.cursors[n-1], errAborted)
 	}
 	sh.met.Set(sh.eng.met.gActive, 0)
 	sh.met.Publish()
-}
-
-// ---------------------------------------------------------------------------
-// Sessions (fallback path: one Sender per session).
-// ---------------------------------------------------------------------------
-
-// session is one client's paced stream served through a private smoothing
-// buffer. All fields are owned by the shard goroutine after registration;
-// no locking.
-type session struct {
-	eng     *Engine
-	conn    net.Conn // nil in tests/benchmarks that drive a bare writer
-	w       io.Writer
-	remote  string
-	snd     *netstream.Sender
-	start   time.Time
-	step    int
-	dropped int
-	id      uint64 // flight-recorder session id
-}
-
-// stepOnce runs one model step: offer this step's arrivals (the shared,
-// engine-precomputed offer slice — read-only), tick the smoothing buffer
-// (which batches and flushes the wire writes), and finish with the End
-// marker once the horizon is past and the buffer is drained.
-//
-//smoothvet:deterministic
-//smoothvet:noalloc
-func (s *session) stepOnce() (done bool, err error) {
-	e := s.eng
-	var offers []netstream.Offered
-	if s.step <= e.st.Horizon() {
-		offers = e.offersAt(s.step)
-	}
-	stats, err := s.snd.Tick(offers)
-	if err != nil {
-		return false, err
-	}
-	s.dropped += len(stats.Dropped)
-	s.step++
-	if s.step > e.st.Horizon() && s.snd.Backlog() == 0 {
-		return true, netstream.WriteEnd(s.w)
-	}
-	return false, nil
-}
-
-// finish closes the session's connection and reports it done. now is the
-// shard's tick timestamp: finish runs on the noalloc step path, so it
-// reuses the per-tick stamp rather than reading the wall clock itself.
-func (s *session) finish(now time.Time, err error) {
-	if s.conn != nil {
-		_ = s.conn.Close()
-	}
-	e := s.eng
-	e.active.Add(-1)
-	e.served.Add(1)
-	e.sessWG.Done()
-	if e.cfg.OnSessionDone != nil {
-		e.cfg.OnSessionDone(SessionStats{
-			Remote:  s.remote,
-			Steps:   s.step,
-			Dropped: s.dropped,
-			Elapsed: now.Sub(s.start),
-		}, err)
-	}
 }
 
 // deadlineWriter arms a write deadline before flushing so a stalled client

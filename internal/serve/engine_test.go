@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -43,17 +46,14 @@ func runClient(conn net.Conn, delay int) (clientResult, error) {
 }
 
 // runEngine serves `clients` concurrent sessions from an engine with the
-// given shard count and returns each client's result. disableCohorts
-// selects the per-session Sender path; the default engine serves same-
-// parameter sessions from the cohort cache.
-func runEngine(t *testing.T, clip *trace.Clip, shards, clients int, disableCohorts bool) []clientResult {
+// given shard count and returns each client's result.
+func runEngine(t *testing.T, clip *trace.Clip, shards, clients int) []clientResult {
 	t.Helper()
 	eng, err := New(clip, trace.PaperWeights(), Config{
-		Rate:           2 * int(clip.AverageRate()),
-		Shards:         shards,
-		StepDuration:   200 * time.Microsecond,
-		MaxDelay:       8,
-		DisableCohorts: disableCohorts,
+		Rate:         2 * int(clip.AverageRate()),
+		Shards:       shards,
+		StepDuration: 200 * time.Microsecond,
+		MaxDelay:     8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +96,12 @@ func runEngine(t *testing.T, clip *trace.Clip, shards, clients int, disableCohor
 
 // TestShardCountInvariance — the determinism analogue of the sweep engine's
 // worker-count invariance: the same clip and policy must yield the same
-// per-session played/dropped sets whether the engine runs 1 shard or many,
-// and whether sessions are cohort-served or run the per-session Sender
-// path.
+// per-session played/dropped sets whether the engine runs 1 shard or many.
 func TestShardCountInvariance(t *testing.T) {
 	clip := testClip(t, 30)
 	const clients = 6
-	one := runEngine(t, clip, 1, clients, false)
-	four := runEngine(t, clip, 4, clients, false)
-	fallback := runEngine(t, clip, 4, clients, true)
+	one := runEngine(t, clip, 1, clients)
+	four := runEngine(t, clip, 4, clients)
 
 	for i := 0; i < clients; i++ {
 		a, b := one[i], four[i]
@@ -120,9 +117,6 @@ func TestShardCountInvariance(t *testing.T) {
 		if a.stats.Incomplete != b.stats.Incomplete || a.stats.LateBytes != b.stats.LateBytes ||
 			a.stats.Corrupt != b.stats.Corrupt || a.stats.PlayedBytes != b.stats.PlayedBytes {
 			t.Fatalf("client %d: stats diverge across shard counts: %+v vs %+v", i, a.stats, b.stats)
-		}
-		if f := fallback[i]; f.stats != b.stats || len(f.played) != len(b.played) {
-			t.Fatalf("client %d: cohort and fallback paths diverge: %+v vs %+v", i, b.stats, f.stats)
 		}
 	}
 	// And every session of one engine run saw the same stream.
@@ -252,4 +246,173 @@ func TestCloseAbortsInFlight(t *testing.T) {
 		t.Error("client saw a clean end on an aborted stream")
 	}
 	_ = client.Close()
+}
+
+// rejectedTotal reads serve_sessions_rejected_total.
+func rejectedTotal(e *Engine) uint64 {
+	return e.Obs().Snapshot(nil).Scalars[e.met.cRejected]
+}
+
+// readSignal closes reading on the first Read: the moment Handle has
+// passed its admission checks and blocks on the client's Hello.
+type readSignal struct {
+	net.Conn
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (c *readSignal) Read(p []byte) (int, error) {
+	c.once.Do(func() { close(c.reading) })
+	return c.Conn.Read(p)
+}
+
+// TestMaxSessionsConcurrentHandshakes — the session cap holds across
+// handshakes in flight: with MaxSessions 1 and three Handles racing,
+// exactly one session is admitted however long the Hellos take. Every
+// Handle reaches its Hello read (or returns) before any client speaks, so
+// a cap checked before the read but charged after it would admit all
+// three.
+func TestMaxSessionsConcurrentHandshakes(t *testing.T) {
+	clip := testClip(t, 10)
+	eng, err := New(clip, trace.PaperWeights(), Config{
+		Rate:         2 * int(clip.AverageRate()),
+		Shards:       1,
+		MaxSessions:  1,
+		StepDuration: 200 * time.Microsecond,
+		MaxDelay:     4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const n = 3
+	clients := make([]net.Conn, n)
+	handled := make([]chan error, n)
+	for i := range clients {
+		server, client := net.Pipe()
+		clients[i] = client
+		handled[i] = make(chan error, 1)
+		sig := &readSignal{Conn: server, reading: make(chan struct{})}
+		go func(i int) { handled[i] <- eng.Handle(sig) }(i)
+		select {
+		case <-sig.reading:
+		case err := <-handled[i]:
+			handled[i] <- err // returned before reading: keep the verdict
+		}
+	}
+	var clientWG sync.WaitGroup
+	for _, c := range clients {
+		clientWG.Add(1)
+		go func(c net.Conn) {
+			defer clientWG.Done()
+			defer c.Close()
+			// Rejected clients see their pipe closed; the admitted one
+			// streams to End. Either way the client just drains.
+			if netstream.WriteHello(c, netstream.Hello{DesiredDelay: 4}) == nil {
+				_, _ = io.Copy(io.Discard, c)
+			}
+		}(c)
+	}
+	admitted := 0
+	for i := range handled {
+		if err := <-handled[i]; err == nil {
+			admitted++
+		}
+	}
+	clientWG.Wait()
+	if admitted != 1 {
+		t.Fatalf("%d sessions admitted under MaxSessions=1, want exactly 1", admitted)
+	}
+	if got := rejectedTotal(eng); got != n-1 {
+		t.Fatalf("serve_sessions_rejected_total = %d, want %d", got, n-1)
+	}
+}
+
+// TestServeReceiveOverPipe exercises the engine and the client receive
+// loop end to end over an in-memory full-duplex connection.
+func TestServeReceiveOverPipe(t *testing.T) {
+	clip := testClip(t, 40)
+	eng, err := New(clip, trace.PaperWeights(), Config{
+		Rate:         2 * int(clip.AverageRate()),
+		Shards:       1,
+		StepDuration: 200 * time.Microsecond,
+		MaxDelay:     16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	server, client := net.Pipe()
+	defer client.Close()
+	handled := make(chan error, 1)
+	go func() { handled <- eng.Handle(server) }()
+
+	var events int
+	stats, err := netstream.Receive(client, 0, 8, func(netstream.PlayEvent) { events++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-handled; err != nil {
+		t.Fatalf("handle: %v", err)
+	}
+	if stats.Delay != 8 {
+		t.Errorf("negotiated delay = %d, want 8", stats.Delay)
+	}
+	if stats.Corrupt != 0 {
+		t.Errorf("%d corrupt slices", stats.Corrupt)
+	}
+	// The link rate is 2x the average: with delay 8 nothing should drop.
+	if stats.Played != len(clip.Frames) {
+		t.Errorf("played %d of %d frames (incomplete %d)", stats.Played, len(clip.Frames), stats.Incomplete)
+	}
+	if events == 0 {
+		t.Error("no play events delivered")
+	}
+	if stats.LateBytes != 0 {
+		t.Errorf("late bytes: %d", stats.LateBytes)
+	}
+}
+
+// TestServeRejectsGarbageHello — a Hello with a bad magic is refused,
+// closed and counted.
+func TestServeRejectsGarbageHello(t *testing.T) {
+	clip := testClip(t, 5)
+	eng, err := New(clip, trace.PaperWeights(), Config{Rate: 1, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var hello bytes.Buffer
+	if err := netstream.WriteHello(&hello, netstream.Hello{DesiredDelay: 4}); err != nil {
+		t.Fatal(err)
+	}
+	garbage := hello.Bytes()
+	for i := 1; i < len(garbage); i++ {
+		garbage[i] = 0 // keep the message type, zero the magic and version
+	}
+	server, client := net.Pipe()
+	defer client.Close()
+	handled := make(chan error, 1)
+	go func() { handled <- eng.Handle(server) }()
+	if err := client.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Write(garbage); err != nil {
+		t.Fatal(err)
+	}
+	err = <-handled
+	if !errors.Is(err, netstream.ErrBadMagic) {
+		t.Fatalf("garbage hello: got %v, want ErrBadMagic", err)
+	}
+	if got := rejectedTotal(eng); got != 1 {
+		t.Fatalf("serve_sessions_rejected_total = %d, want 1", got)
+	}
+}
+
+// TestServeRejectsBadRate — an engine needs a positive link rate.
+func TestServeRejectsBadRate(t *testing.T) {
+	clip := testClip(t, 5)
+	if _, err := New(clip, trace.PaperWeights(), Config{Rate: 0}); err == nil {
+		t.Error("rate 0 accepted")
+	}
 }

@@ -39,8 +39,8 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 	m.cFailed = b.Counter("serve_sessions_failed_total", "Sessions that ended with an error (write failure, abort).")
 	m.cDeadlineExpiry = b.Counter("serve_write_deadline_expiries_total", "Session failures whose write missed its armed deadline (slow client).")
 	m.cRejected = b.Counter("serve_sessions_rejected_total", "Connections refused before registration (draining, session limit, bad handshake).")
-	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes whose (delay, buffer) hit a cached cohort plan.")
-	m.cCohortMiss = b.Counter("serve_cohort_misses_total", "Handshakes served through the per-session fallback path.")
+	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes that reused the cached plan for their delay.")
+	m.cCohortMiss = b.Counter("serve_cohort_misses_total", "Handshakes that built the plan for their delay.")
 	m.gActive = b.Gauge("serve_sessions_active", "Sessions currently registered, summed across shards.")
 	m.hStepDur = b.Histogram("serve_step_duration_us", "Wall-clock duration of one shard tick (all sessions stepped), microseconds.")
 	b.Func("serve_draining", "1 while the engine refuses new sessions (Drain/Close in progress).", func() int64 {

@@ -5,8 +5,12 @@
 #   scripts/bench_baseline.sh [OUT.json]     (default: BENCH_quick.json)
 #
 # The protocol is a fixed iteration count (-benchtime 5x) so bytes/op and
-# allocs/op are deterministic, plus a second pass over BenchmarkSweepWorkers
-# at -cpu 1,4 to record the sweep-parallelism profile on multi-core hosts.
+# allocs/op are deterministic. Every row is keyed by (name, procs), so the
+# procs are fixed explicitly rather than taken from the host: the main pass
+# runs at -cpu 1, and a second pass records BenchmarkSweepWorkers at -cpu 4
+# for the sweep-parallelism profile (its procs=1 rows come from the main
+# pass). The same rows therefore exist on every host, whatever its core
+# count.
 # scripts/verify.sh runs the identical protocol and diffs the result against
 # BENCH_quick.json with cmd/benchdiff; run this script (with no argument)
 # and commit the result after an intentional performance change.
@@ -20,9 +24,9 @@ trap 'rm -f "$tmp"' EXIT
 
 go build -o bin/benchjson ./cmd/benchjson
 
-go test -run '^$' -bench . -benchmem -benchtime 5x ./... > "$tmp"
+go test -run '^$' -bench . -benchmem -benchtime 5x -cpu 1 ./... > "$tmp"
 go test -run '^$' -bench '^BenchmarkSweepWorkers$' -benchmem -benchtime 5x \
-    -cpu 1,4 . >> "$tmp"
+    -cpu 4 . >> "$tmp"
 
 bin/benchjson -in "$tmp" -out "$out"
 echo "bench baseline written to $out"

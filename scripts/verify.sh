@@ -39,10 +39,18 @@ echo "== go build"
 go build ./...
 
 echo "== go build (darwin)"
-# Cross-compile for a second GOOS: the loadgen reactor is split into
-# linux (epoll) and stub variants by build tags, and only a cross-build
-# catches a symbol that drifted out of the shared surface.
+# Cross-compile for a second GOOS: the loadgen and lb reactors are split
+# into linux (epoll, splice) and build-only stub variants by build tags,
+# and only a cross-build catches a symbol that drifted out of the shared
+# surface.
 GOOS=darwin go build ./...
+
+echo "== perfbench build + vet"
+# perfbench is a nested module (it imports this one through a replace
+# directive), so ./... above never compiles it; build and vet it here so
+# an API change that breaks the end-to-end benchmark fails fast. The
+# binary goes to /dev/null so nothing is left in the perfbench tree.
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
 
 echo "== go test"
 go test ./...
@@ -69,8 +77,11 @@ LB_SMOKE=1000 go test -count=1 -run '^TestFleetSmoke$' ./internal/lb
 
 echo "== bench + regression gate"
 # Run every benchmark at the same short protocol the committed baseline was
-# recorded with (-benchtime 5x; BenchmarkSweepWorkers additionally at
-# -cpu 1,4), then gate on BENCH_quick.json via cmd/benchdiff. Allocation
+# recorded with (-benchtime 5x at -cpu 1; BenchmarkSweepWorkers additionally
+# at -cpu 4), then gate on BENCH_quick.json via cmd/benchdiff. The explicit
+# -cpu keeps (name, procs) keys identical on every host, and -strict fails
+# the gate when a baseline row is missing from the run, so a pinned
+# benchmark cannot pass by not being compared. Allocation
 # metrics are deterministic at a fixed iteration count and held tight —
 # the simulation core must stay allocation-free (see DESIGN.md "Memory
 # layout & amortization"); wall-clock ratios stay generous because CI
@@ -83,7 +94,7 @@ go build -o bin/benchdiff ./cmd/benchdiff
 # so pooled-arena benchmarks have some alloc jitter); the allocation-free
 # core paths get tight per-benchmark rules, and the parallel sweep variants
 # — whose pool misses depend on goroutine scheduling — get looser ones.
-# The cohort-served density benchmark is pinned at exactly zero steady-state
+# The serving density benchmark is pinned at exactly zero steady-state
 # allocations: the whole point of the compute-once layer is that a shard
 # tick over 100k sessions touches no allocator at all. The client engine's
 # per-step path (BenchmarkLoadgenStep) carries the same zero pin — the dual
@@ -93,7 +104,7 @@ go build -o bin/benchdiff ./cmd/benchdiff
 # loopback waves
 # get wide bounds: one op there is a full wave of real dials and sessions,
 # so both timing and the dial-path allocation count wobble with the host.
-bin/benchdiff -baseline BENCH_quick.json -current bin/bench_current.json \
+bin/benchdiff -strict -baseline BENCH_quick.json -current bin/bench_current.json \
     -ns 1.5 -bytes 1.0 -bytes-slack 16384 -allocs 1.0 -allocs-slack 64 \
     -rule 'BenchmarkServerStep:allocs=0.0+4,bytes=0.0+4096' \
     -rule 'BenchmarkSimulate/*:allocs=0.0+4,bytes=0.0+4096' \
