@@ -67,18 +67,22 @@ func (p *Pass) BuildCallGraph() *CallGraph {
 }
 
 // StaticCallee resolves the *types.Func a call statically invokes: a named
-// function or a method called through a concrete receiver. Calls through
-// function-typed values, builtins and interface methods resolve to nil.
+// function or a method called through a concrete receiver. A method of an
+// instantiated generic type resolves to its generic declaration. Calls
+// through function-typed values, builtins and interface methods resolve
+// to nil.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[f].(*types.Func)
-		return fn
+		fn, _ = info.Uses[f].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[f.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[f.Sel].(*types.Func)
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // DeclOf returns the same-package declaration of fn, or nil.

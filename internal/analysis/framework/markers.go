@@ -253,6 +253,7 @@ func (m *Markers) FieldHasMarker(obj *types.Var, marker string) bool {
 	if obj == nil {
 		return false
 	}
+	obj = obj.Origin() // a field of an instantiated generic struct
 	if names, ok := m.fields[obj]; ok {
 		return containsMarker(names, marker)
 	}
@@ -301,6 +302,7 @@ func (m *Markers) FuncHasMarker(obj *types.Func, marker string) bool {
 	if obj == nil {
 		return false
 	}
+	obj = obj.Origin() // a method of an instantiated generic type
 	if fd, ok := m.byObj[obj]; ok {
 		for _, n := range m.funcs[fd] {
 			if n == marker {

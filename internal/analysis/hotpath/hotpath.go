@@ -11,7 +11,9 @@
 // in a different variable than its source (self-append `x = append(x, ...)`
 // and `return append(x, ...)` are the sanctioned amortized idioms),
 // string<->[]byte/[]rune conversions, and implicit interface conversions
-// (boxing) in assignments, call arguments, and returns.
+// (boxing) in assignments, call arguments, and returns. A generic
+// function is checked once, on its declaration: converting a
+// type-parameter value to an interface counts as boxing.
 //
 // Error exits are exempt: any return statement whose final result is a
 // (possibly constructed) non-nil error suppresses diagnostics inside it —
@@ -371,17 +373,27 @@ func (c *checker) checkBox(target types.Type, val ast.Expr) {
 	if target == nil || c.suppressed(val.Pos()) {
 		return
 	}
-	if !types.IsInterface(target) {
+	if !isInterface(target) {
 		return
 	}
 	vt := c.pass.TypesInfo.TypeOf(val)
-	if vt == nil || types.IsInterface(vt) {
+	if vt == nil || isInterface(vt) {
 		return
 	}
 	if b, ok := vt.(*types.Basic); ok && b.Kind() == types.UntypedNil {
 		return
 	}
 	c.report(val.Pos(), "implicit conversion to %s boxes the value and allocates", target)
+}
+
+// isInterface reports whether t is an interface type. A type parameter is
+// not: its constraint is an interface, but its values are concrete, and
+// converting one to an interface boxes it.
+func isInterface(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }
 
 func (c *checker) report(pos token.Pos, format string, args ...any) {

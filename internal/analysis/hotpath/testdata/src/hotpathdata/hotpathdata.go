@@ -97,3 +97,36 @@ func helper(n int) int {
 func coldHelper() func() {
 	return func() {} // ok: off the hot path
 }
+
+// ring is a generic reactor-style core: its noalloc methods are checked
+// on the generic declaration, whatever it is instantiated with.
+type ring[S comparable] struct {
+	live []S
+	sink any
+}
+
+// admit keeps to the sanctioned idioms: self-append, passing the type
+// parameter through to a parameter of the same type.
+//
+//smoothvet:noalloc
+func (r *ring[S]) admit(s S) {
+	r.live = append(r.live, s)
+	r.place(s)
+}
+
+func (r *ring[S]) place(s S) {}
+
+// leak converts a type-parameter value to an interface, which boxes it
+// for any non-pointer instantiation, and spawns work behind an unmarked
+// helper reached through the generic receiver.
+//
+//smoothvet:noalloc
+func (r *ring[S]) leak(s S) {
+	r.sink = s // want `boxes the value and allocates`
+	consume(s) // want `boxes the value and allocates`
+	r.spawn()
+}
+
+func (r *ring[S]) spawn() {
+	go work() // want `go statement allocates a goroutine on a //smoothvet:noalloc path \(reachable from leak\)`
+}

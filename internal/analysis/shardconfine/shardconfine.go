@@ -1,10 +1,12 @@
 // Package shardconfine defines a smoothvet analyzer enforcing goroutine
 // confinement of shard state. A type marked //smoothvet:confined (the
-// serve and loadgen shard structs) is owned by exactly one goroutine: all
-// of its non-//smoothvet:shared fields may only be stored to by code
-// holding an *owned* reference — the method receiver, a parameter (the
-// call was vetted at the caller), or a locally constructed value. The
-// analyzer flags:
+// serve, lb and loadgen shard structs, and the generic reactor.Core the
+// lb and loadgen shards embed) is owned by exactly one goroutine: all of
+// its non-//smoothvet:shared fields may only be stored to by code holding
+// an *owned* reference — the method receiver, a parameter (the call was
+// vetted at the caller), or a locally constructed value. A generic
+// confined type is confined in every instantiation, and a struct that
+// embeds a confined type by value is confined too. The analyzer flags:
 //
 //   - stores to a non-shared field through a foreign reference (one
 //     obtained from another struct's field, a slice/map of shards, or a
@@ -73,12 +75,28 @@ type checker struct {
 	markers *framework.Markers
 }
 
-// confined reports whether t is (a pointer to) a //smoothvet:confined type.
+// confined reports whether t is (a pointer to) a //smoothvet:confined type
+// or to a struct embedding one by value, whose promoted fields are the
+// embedded type's confined state.
 func (c *checker) confined(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	return c.markers.TypeHasMarker(t, framework.MarkerConfined)
+	if c.markers.TypeHasMarker(t, framework.MarkerConfined) {
+		return true
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if st, ok := t.Underlying().(*types.Struct); ok {
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, ptr := f.Type().(*types.Pointer); f.Embedded() && !ptr && c.confined(f.Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (c *checker) checkFunc(fd *ast.FuncDecl) {

@@ -207,3 +207,72 @@ func (sh *relayShard) drainOwned() {
 	sh.mu.Unlock()
 	sh.table = append(sh.table, pend...) // ok: receiver-owned
 }
+
+// core is a generic reactor core, the shape the engines' shards embed:
+// each instance is owned by its reactor goroutine; sessions arrive
+// through the shared queue.
+//
+//smoothvet:confined
+type core[S comparable] struct {
+	mu       sync.Mutex //smoothvet:shared
+	incoming []S        //smoothvet:shared
+	live     []S
+	cur      int
+}
+
+type conn struct{ fd int }
+
+// insert is the owner's store through its receiver.
+func (c *core[S]) insert(s S) {
+	c.live = append(c.live, s) // ok: receiver-owned
+	c.cur++                    // ok
+}
+
+// enqueue is the sanctioned hand-off through the shared fields.
+func (c *core[S]) enqueue(s S) {
+	c.mu.Lock()
+	c.incoming = append(c.incoming, s) // ok: shared field of the generic type
+	c.mu.Unlock()
+}
+
+type coreTier struct {
+	cores []*core[*conn]
+}
+
+// stealInstantiated stores through an instantiated core[*conn] reached
+// from another structure: the cross-goroutine store.
+func (t *coreTier) stealInstantiated(i int) {
+	t.cores[i].cur = 0 // want `store to field cur of confined \*core\[\*conn\] through a foreign reference`
+	c := t.cores[i]
+	c.live = nil // want `store to field live of confined \*core\[\*conn\] through a foreign reference`
+	c.mu.Lock()
+	c.incoming = nil // ok: shared field
+	c.mu.Unlock()
+}
+
+// engineShard embeds the core without a marker of its own: holding
+// confined state by value makes it confined too.
+type engineShard struct {
+	core[*conn]
+	name string
+}
+
+type engineTier struct {
+	shards []*engineShard
+}
+
+// stealPromoted stores to another shard's state, promoted core fields
+// included: promotion must not hide the confined owner.
+func (t *engineTier) stealPromoted(i int) {
+	sh := t.shards[i]
+	sh.cur = 0        // want `store to field cur of confined \*engineShard through a foreign reference`
+	sh.live = nil     // want `store to field live of confined \*engineShard through a foreign reference`
+	sh.name = "x"     // want `store to field name of confined \*engineShard through a foreign reference`
+	sh.incoming = nil // ok: shared field of the embedded core
+}
+
+// runOwned: the shard's own methods store through promoted fields freely.
+func (sh *engineShard) runOwned() {
+	sh.cur++
+	sh.name = "run"
+}

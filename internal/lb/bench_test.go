@@ -72,7 +72,8 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sh.poller.close()
+			defer sh.Close()
+			live := make([]*session, sessions)
 			srcW := make([]int, sessions)
 			sinkR := make([]int, sessions)
 			for i := 0; i < sessions; i++ {
@@ -85,15 +86,14 @@ func BenchmarkLBRelayStep(b *testing.B) {
 					cfd:        kw,
 					pipeR:      pr,
 					pipeW:      pw,
-					pos:        i,
 					backendIdx: 0,
 					backend:    e.backends[0],
 				}
-				sh.sessions = append(sh.sessions, s)
+				live[i] = s
 				srcW[i], sinkR[i] = sw, kr
 			}
 			defer func() {
-				for i, s := range sh.sessions {
+				for i, s := range live {
 					sh.closeRelay(s)
 					_ = syscall.Close(srcW[i])
 					_ = syscall.Close(sinkR[i])
@@ -102,7 +102,7 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			span := make([]byte, chunk)
 			drain := make([]byte, chunk)
 			step := func(i, now int) {
-				s := sh.sessions[i]
+				s := live[i]
 				if _, err := syscall.Write(srcW[i], span); err != nil {
 					b.Fatal(err)
 				}

@@ -8,8 +8,9 @@
 //
 // # Architecture
 //
-// The engine reuses the shard-reactor shape of internal/serve and
-// internal/loadgen, split into a control plane and a data plane:
+// The engine is split into a control plane and a data plane. The
+// data-plane shards run on internal/reactor's core, as internal/loadgen's
+// do:
 //
 //   - Front door: Handle reads the client's Hello (the only blocking
 //     read on the client side), applies admission control — an optional
@@ -29,7 +30,8 @@
 //     picked for it are re-placed before the dial — graceful drain is a
 //     placement event, never a client-visible failure.
 //   - Shard reactors: after the handshake the session becomes pure byte
-//     relay. Each shard owns an epoll set; on Linux the steady-state
+//     relay. Each shard embeds a reactor.Core (epoll set, wake loop,
+//     fd table, sweep) and plugs in the relay; the steady-state
 //     path splices backend socket → per-session pipe → client socket
 //     (kernel-to-kernel, no userspace copy, zero allocation). That is the
 //     only relay path: a session whose fds cannot splice fails with the
@@ -239,7 +241,7 @@ func New(cfg Config) (*Engine, error) {
 		sh, err := newShard(e, i)
 		if err != nil {
 			for _, prev := range e.shards[:i] {
-				prev.poller.close()
+				prev.Close()
 			}
 			return nil, err
 		}
@@ -295,7 +297,6 @@ func (e *Engine) Handle(conn net.Conn) error {
 		hello:      *msg.Hello,
 		start:      time.Now(),
 		enqueued:   e.monotonic(),
-		pos:        -1,
 		cfd:        -1,
 		bfd:        -1,
 		pipeR:      -1,
@@ -435,19 +436,3 @@ func (e *Engine) Obs() *obs.Registry { return e.met.reg }
 // FlightRecorders returns the tier's flight rings: index 0 is the
 // front-door/placer ring, index 1+i is relay shard i.
 func (e *Engine) FlightRecorders() []*obs.FlightRecorder { return e.recs }
-
-// connFd extracts a TCP connection's fd for the shard reactors. The fd
-// stays owned by the net.Conn; the engine never reads through the conn
-// after the handshake, so the runtime poller and the relay never
-// contend.
-func connFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return 0, fmt.Errorf("lb: raw conn: %w", err)
-	}
-	fd := -1
-	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
-		return 0, fmt.Errorf("lb: conn fd: %w", err)
-	}
-	return fd, nil
-}

@@ -2,6 +2,7 @@ package lb
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -433,6 +434,100 @@ func TestStallTimeoutRetiresStalledSession(t *testing.T) {
 	}
 	if got := counterValue(eng, eng.met.cStalls); got != 1 {
 		t.Errorf("stall count %d, want exactly 1: re-stalling a parked session resets its clock", got)
+	}
+}
+
+// startSilentBackend is a fake smoothd that answers the handshake and
+// then holds the conn open without sending a byte.
+func startSilentBackend(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quit := make(chan struct{})
+	t.Cleanup(func() {
+		close(quit)
+		_ = ln.Close()
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				if _, err := netstream.ReadMsg(c); err != nil {
+					return
+				}
+				acc := netstream.Accept{Rate: 1, Delay: 1, ServerBuffer: 1, StepMicros: 1000}
+				if _, err := (netstream.Msg{Accept: &acc}).WriteTo(c); err != nil {
+					return
+				}
+				<-quit
+			}(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestIdleTimeoutRetiresSilentBackend: a backend that completes the
+// handshake and then goes silent must be retired by the idle sweep,
+// counted as a failed relay, and the client must see EOF.
+func TestIdleTimeoutRetiresSilentBackend(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relay reactor tests require linux")
+	}
+	const idle = 200 * time.Millisecond
+	doneErr := make(chan error, 1)
+	lbAddr, eng := startLB(t, Config{
+		Backends:      []string{startSilentBackend(t)},
+		Shards:        1,
+		IdleTimeout:   idle,
+		StallTimeout:  -1,
+		OnSessionDone: func(st SessionStats) { doneErr <- st.Err },
+	})
+	conn, err := net.Dial("tcp", lbAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8}
+	if _, err := (netstream.Msg{Hello: &hello}).WriteTo(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := netstream.ReadMsg(conn); err != nil {
+		t.Fatalf("reading accept: %v", err)
+	}
+	start := time.Now()
+	var buf [1]byte
+	if n, err := conn.Read(buf[:]); err != io.EOF {
+		t.Fatalf("client read %d bytes, err %v; want EOF from the idle retirement", n, err)
+	}
+	if took := time.Since(start); took < idle || took > idle+time.Second {
+		t.Errorf("silent session retired after %v, want within [%v, %v]", took, idle, idle+time.Second)
+	}
+	select {
+	case err := <-doneErr:
+		if !errors.Is(err, errIdleTimeout) {
+			t.Errorf("session retired with %v, want errIdleTimeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnSessionDone never fired")
+	}
+	// The counter reaches the scrape view when the retiring wake
+	// publishes, a beat after the client's EOF.
+	deadline := time.Now().Add(2 * time.Second)
+	for counterValue(eng, eng.met.cFailed) == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := counterValue(eng, eng.met.cFailed); got != 1 {
+		t.Errorf("failed relays %d, want 1 (idle timeout)", got)
+	}
+	if got := eng.Active(); got != 0 {
+		t.Errorf("%d sessions still active after the idle retirement", got)
 	}
 }
 

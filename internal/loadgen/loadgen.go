@@ -13,11 +13,12 @@
 //     dial and the Hello/Accept handshake (the only blocking reads in the
 //     engine), records dial/handshake stage timings, then hands the
 //     connection to a shard chosen by session index.
-//   - Shard reactors: each shard owns an epoll set and wakes when any of
-//     its sessions' sockets turn readable. A wake stamps one monotonic
-//     clock reading (the tickClock pattern of internal/serve, measured
-//     from a single engine-wide monotonic base), drains each ready socket
-//     into a shard-owned scratch buffer with non-blocking reads, and
+//   - Shard reactors: each shard embeds a reactor.Core (internal/reactor)
+//     whose epoll set wakes when any of its sessions' sockets turn
+//     readable. A wake stamps one monotonic clock reading (the tickClock
+//     pattern of internal/serve, measured from a single engine-wide
+//     monotonic base), drains each ready socket into a shard-owned
+//     scratch buffer with non-blocking reads, and
 //     parses complete messages through one scratch-reusing
 //     netstream.Decoder per shard. The old generator's per-session
 //     goroutines took per-message wall-clock readings that skewed under
@@ -59,6 +60,7 @@ import (
 
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stats"
 )
 
@@ -218,7 +220,7 @@ func New(cfg Config) (*Engine, error) {
 		sh, err := newShard(e, i)
 		if err != nil {
 			for _, prev := range e.shards[:i] {
-				prev.poller.close()
+				prev.Close()
 			}
 			return nil, err
 		}
@@ -415,7 +417,7 @@ func (e *Engine) dialOne(idx int) {
 	// exhaust the ephemeral range within a few ramp waves at 10k+
 	// sessions.
 	_ = tc.SetLinger(0)
-	fd, err := connFd(tc)
+	fd, err := reactor.ConnFd(tc)
 	if err != nil {
 		fail(err)
 		return
@@ -425,7 +427,6 @@ func (e *Engine) dialOne(idx int) {
 		idx:       idx,
 		conn:      conn,
 		fd:        fd,
-		pos:       -1,
 		delay:     int(acc.Delay),
 		stepNanos: int64(acc.StepMicros) * 1000,
 		maxStep:   -1,
@@ -439,24 +440,8 @@ func (e *Engine) dialOne(idx int) {
 	e.mu.Unlock()
 
 	sh := e.shards[idx%len(e.shards)]
-	if !sh.enqueue(s) {
+	if !sh.Enqueue(s) {
 		_ = conn.Close()
 		e.failSetup(idx, StageHandshake, fmt.Errorf("loadgen: engine is closed"), start)
 	}
-}
-
-// connFd extracts the file descriptor of a TCP connection for the shard
-// reactors' non-blocking reads. The fd stays owned by the net.Conn (the
-// runtime keeps it in its own poller; loadgen never reads through the
-// conn after the handshake, so the two never contend).
-func connFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: raw conn: %w", err)
-	}
-	fd := -1
-	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
-		return 0, fmt.Errorf("loadgen: conn fd: %w", err)
-	}
-	return fd, nil
 }

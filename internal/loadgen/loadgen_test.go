@@ -138,19 +138,23 @@ func TestStageFailureAccounting(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("loadgen reactor requires linux")
 	}
-	countStages := func(t *testing.T, addr string, n int) (map[string]int, Report) {
+	// runStages drives n sessions and tallies their failure stages and
+	// errors.
+	runStages := func(t *testing.T, addr string, n int, idle time.Duration) (map[string]int, map[error]int, Report) {
 		t.Helper()
 		stages := map[string]int{}
+		errs := map[error]int{}
 		var mu sync.Mutex
 		eng, err := New(Config{
 			Addrs:       []string{addr},
 			Shards:      1,
 			Delay:       4,
 			DialTimeout: 2 * time.Second,
-			IdleTimeout: 2 * time.Second,
+			IdleTimeout: idle,
 			OnSessionDone: func(st SessionStats) {
 				mu.Lock()
 				stages[st.Stage]++
+				errs[st.Err]++
 				mu.Unlock()
 			},
 		})
@@ -162,7 +166,48 @@ func TestStageFailureAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return stages, errs, rep
+	}
+	countStages := func(t *testing.T, addr string, n int) (map[string]int, Report) {
+		t.Helper()
+		stages, _, rep := runStages(t, addr, n, 2*time.Second)
 		return stages, rep
+	}
+	// acceptThen runs a fake server that answers each Hello with an
+	// Accept, sends data for steps 0..steps-1, then hands the conn to
+	// after.
+	acceptThen := func(t *testing.T, steps uint32, after func(net.Conn)) string {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func(c net.Conn) {
+					defer c.Close()
+					if msg, err := netstream.ReadMsg(c); err != nil || msg.Hello == nil {
+						return
+					}
+					_ = netstream.WriteAccept(c, netstream.Accept{
+						Rate: 10, Delay: 4, ServerBuffer: 40, StepMicros: 1000,
+					})
+					for step := uint32(0); step < steps; step++ {
+						_ = netstream.WriteData(c, netstream.Data{
+							SliceID: step, Arrival: step, Size: 4, Weight: 1,
+							SendStep: step, Payload: []byte{1, 2, 3, 4},
+						})
+					}
+					after(c)
+				}(c)
+			}
+		}()
+		return ln.Addr().String()
 	}
 
 	t.Run("dial", func(t *testing.T) {
@@ -203,38 +248,30 @@ func TestStageFailureAccounting(t *testing.T) {
 
 	t.Run("mid-stream", func(t *testing.T) {
 		// Complete the handshake, send a little data, hang up before End.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					defer c.Close()
-					if msg, err := netstream.ReadMsg(c); err != nil || msg.Hello == nil {
-						return
-					}
-					_ = netstream.WriteAccept(c, netstream.Accept{
-						Rate: 10, Delay: 4, ServerBuffer: 40, StepMicros: 1000,
-					})
-					for step := uint32(0); step < 3; step++ {
-						_ = netstream.WriteData(c, netstream.Data{
-							SliceID: step, Arrival: step, Size: 4, Weight: 1,
-							SendStep: step, Payload: []byte{1, 2, 3, 4},
-						})
-					}
-					// No End: the close below is a mid-stream hangup.
-				}(c)
-			}
-		}()
-		stages, rep := countStages(t, ln.Addr().String(), 6)
+		addr := acceptThen(t, 3, func(net.Conn) {})
+		stages, rep := countStages(t, addr, 6)
 		if rep.MidStreamFailed != 6 || stages[StageMidStream] != 6 || rep.Completed != 0 {
 			t.Fatalf("want 6 mid-stream failures, got report %+v stages %v", rep, stages)
+		}
+	})
+
+	t.Run("idle", func(t *testing.T) {
+		// Send Accept and one Data, then hold the conn open in silence:
+		// only the reactor's idle sweep can end these sessions.
+		quit := make(chan struct{})
+		defer close(quit)
+		addr := acceptThen(t, 1, func(net.Conn) { <-quit })
+		const idle = 200 * time.Millisecond
+		start := time.Now()
+		stages, errs, rep := runStages(t, addr, 6, idle)
+		took := time.Since(start)
+		if rep.MidStreamFailed != 6 || stages[StageMidStream] != 6 || errs[errIdleTimeout] != 6 {
+			t.Fatalf("want 6 idle-timeout failures, got report %+v stages %v errors %v", rep, stages, errs)
+		}
+		// The sweep notices within a wake or two of the limit; the bound
+		// also covers dial and handshake.
+		if took < idle || took > idle+time.Second {
+			t.Fatalf("idle sessions retired after %v, want within [%v, %v]", took, idle, idle+time.Second)
 		}
 	})
 }

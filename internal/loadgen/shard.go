@@ -3,13 +3,15 @@ package loadgen
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
-	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stats"
 )
 
@@ -33,7 +35,7 @@ type session struct {
 	idx  int
 	conn net.Conn
 	fd   int
-	pos  int // index in shard.sessions, maintained across swap-removes
+	reactor.Link
 
 	delay     int
 	stepNanos int64
@@ -72,27 +74,18 @@ type tally struct {
 	lateBytes       int
 }
 
-// shard owns a set of sessions and the reactor resources they share: one
-// poller, one scratch read buffer, one decoder, one lag histogram.
+// shard owns a set of sessions: a reactor core, one scratch read buffer,
+// one decoder and one lag histogram. The core drives it through the
+// reactor.Handler methods below.
 //
 //smoothvet:confined owned by the reactor goroutine after Run hands it off
 type shard struct {
-	eng    *Engine
-	poller *poller
+	reactor.Core[*session]
+	eng *Engine
 
 	scratch []byte
 	br      bytes.Reader
 	dec     *netstream.Decoder
-
-	//smoothvet:shared guards incoming only
-	mu sync.Mutex
-	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []*session
-	spare    []*session
-
-	sessions []*session
-	byFd     []*session
-	idleCur  int
 
 	// lag aliases the live obs histogram slot (met.HistRef), so the
 	// per-message Add is also the scrape-visible series.
@@ -106,7 +99,7 @@ type shard struct {
 	rec *obs.FlightRecorder
 }
 
-// newShardCore builds shard idx without a poller — the socket-free form
+// newShardCore builds shard idx without an epoll set — the socket-free form
 // the density benchmarks drive through feed directly. Engines built
 // outside New (benchmarks) get a single-purpose registry on demand.
 func newShardCore(e *Engine, idx int) *shard {
@@ -121,7 +114,6 @@ func newShardCore(e *Engine, idx int) *shard {
 	sh := &shard{
 		eng:     e,
 		scratch: make([]byte, shardScratchSize),
-		byFd:    make([]*session, 1024),
 		lag:     m.HistRef(e.met.hLag),
 		met:     m,
 		rec:     e.recs[idx],
@@ -131,13 +123,17 @@ func newShardCore(e *Engine, idx int) *shard {
 }
 
 func newShard(e *Engine, idx int) (*shard, error) {
-	p, err := newPoller()
-	if err != nil {
+	sh := newShardCore(e, idx)
+	if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive); err != nil {
 		return nil, err
 	}
-	sh := newShardCore(e, idx)
-	sh.poller = p
 	return sh, nil
+}
+
+// run converts the shard to its reactor handler once and runs the core.
+func (sh *shard) run() {
+	defer sh.eng.loopWG.Done()
+	sh.Run(sh)
 }
 
 // resetStats clears the per-wave aggregates. Run calls it from the main
@@ -150,61 +146,72 @@ func (sh *shard) resetStats() {
 	sh.tally = tally{}
 }
 
-// enqueue hands a freshly handshaken session to the shard; it reports
-// false when the engine is closing and the session was not accepted.
-func (sh *shard) enqueue(s *session) bool {
-	sh.mu.Lock()
-	if sh.eng.closing.Load() {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.incoming = append(sh.incoming, s)
-	sh.mu.Unlock()
-	return true
-}
-
-// admit registers every queued session. Runs on the shard goroutine.
-func (sh *shard) admit(now int64) {
-	sh.mu.Lock()
-	if len(sh.incoming) == 0 {
-		sh.mu.Unlock()
-		return
-	}
-	pend := sh.incoming
-	sh.incoming = sh.spare[:0]
-	sh.mu.Unlock()
-	for i := range pend {
-		sh.register(pend[i], now)
-		pend[i] = nil
-	}
-	sh.spare = pend[:0]
-}
-
-func (sh *shard) register(s *session, now int64) {
-	if err := sh.poller.add(s.fd); err != nil {
+// Admit watches a handshaken session's socket. No immediate drain: epoll
+// is level-triggered, so bytes that arrived while the session sat in the
+// queue surface on the next wait.
+func (sh *shard) Admit(s *session, now int64) bool {
+	if err := sh.Add(s.fd, s, reactor.In|reactor.RdHup); err != nil {
 		sh.retire(s, StageMidStream, err, now)
-		return
+		return false
 	}
 	sh.met.Inc(sh.eng.met.cAdmitted)
 	sh.rec.Record(now, obs.EvAdmit, uint64(s.idx), 0)
-	s.pos = len(sh.sessions)
-	sh.sessions = append(sh.sessions, s)
-	if s.fd >= len(sh.byFd) {
-		grown := make([]*session, s.fd+s.fd/2+1)
-		copy(grown, sh.byFd)
-		sh.byFd = grown
-	}
-	sh.byFd[s.fd] = s
 	s.lastData = now
-	// No immediate drain: epoll is level-triggered, so bytes that arrived
-	// while the session sat in the queue surface on the next wait.
+	return true
 }
 
-func (sh *shard) lookupFd(fd int) *session {
-	if fd < 0 || fd >= len(sh.byFd) {
-		return nil
+// Ready empties one ready socket into the shard scratch buffer and feeds
+// the bytes through the decoder. A short read means the socket buffer is
+// (momentarily) empty; level-triggered epoll re-arms for whatever arrives
+// next.
+//
+//smoothvet:noalloc
+func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
+	for {
+		n, err := syscall.Read(fd, sh.scratch)
+		if n > 0 {
+			s.lastData = now
+			if ferr := sh.feed(s, sh.scratch[:n], now); ferr != nil {
+				sh.retire(s, StageMidStream, ferr, now)
+				return
+			}
+			if s.ended {
+				sh.retire(s, "", nil, now)
+				return
+			}
+			if n < len(sh.scratch) {
+				return
+			}
+			continue
+		}
+		if err == nil {
+			// EOF before End: the peer hung up mid-stream.
+			sh.retire(s, StageMidStream, io.ErrUnexpectedEOF, now)
+			return
+		}
+		if en, ok := err.(syscall.Errno); ok {
+			if en == syscall.EAGAIN {
+				return
+			}
+			if en == syscall.EINTR {
+				continue
+			}
+		}
+		sh.retire(s, StageMidStream, err, now)
+		return
 	}
-	return sh.byFd[fd]
+}
+
+// Sweep retires a session that has received nothing for IdleTimeout.
+func (sh *shard) Sweep(s *session, now int64) {
+	if limit := int64(sh.eng.cfg.IdleTimeout); limit > 0 && now-s.lastData > limit {
+		sh.retire(s, StageMidStream, errIdleTimeout, now)
+	}
+}
+
+// Abort fails a live or queued session at engine close.
+func (sh *shard) Abort(s *session, now int64) {
+	sh.retire(s, StageMidStream, errEngineClosed, now)
 }
 
 // retire finishes a session: success when stage is "", else a mid-stream
@@ -213,21 +220,10 @@ func (sh *shard) lookupFd(fd int) *session {
 // path, so it derives Elapsed from the stamp instead of re-reading the
 // wall clock.
 func (sh *shard) retire(s *session, stage string, err error, now int64) {
-	if sh.poller != nil && s.fd >= 0 {
-		_ = sh.poller.del(s.fd)
+	if s.fd >= 0 {
+		_ = sh.Del(s.fd, s)
 	}
-	if s.fd >= 0 && s.fd < len(sh.byFd) && sh.byFd[s.fd] == s {
-		sh.byFd[s.fd] = nil
-	}
-	if last := len(sh.sessions) - 1; last >= 0 && s.pos >= 0 && s.pos <= last && sh.sessions[s.pos] == s {
-		sh.sessions[s.pos] = sh.sessions[last]
-		sh.sessions[s.pos].pos = s.pos
-		sh.sessions[last] = nil
-		sh.sessions = sh.sessions[:last]
-		if sh.idleCur > last {
-			sh.idleCur = 0
-		}
-	}
+	sh.Remove(s)
 	if s.conn != nil {
 		_ = s.conn.Close()
 	}

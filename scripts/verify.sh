@@ -38,12 +38,14 @@ fi
 echo "== go build"
 go build ./...
 
-echo "== go build (darwin)"
-# Cross-compile for a second GOOS: the loadgen and lb reactors are split
-# into linux (epoll, splice) and build-only stub variants by build tags,
-# and only a cross-build catches a symbol that drifted out of the shared
-# surface.
+echo "== go build + vet (darwin)"
+# Cross-compile for a second GOOS: internal/reactor is split into a linux
+# file (epoll, splice) and the single build-only !linux stub, and only a
+# cross-build catches a symbol that drifted out of the shared surface.
+# Vetting the reactor and the two engines that embed it checks the stub
+# surface as well as compiling it.
 GOOS=darwin go build ./...
+GOOS=darwin go vet ./internal/reactor ./internal/lb ./internal/loadgen
 
 echo "== perfbench build + vet"
 # perfbench is a nested module (it imports this one through a replace
