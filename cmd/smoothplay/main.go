@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smoothplay [-connect host:4321] [-delay D] [-buffer BYTES] [-v]
+//	smoothplay [-connect host:4321] [-delay D] [-buffer BYTES] [-streams K] [-v]
 package main
 
 import (
@@ -25,6 +25,9 @@ func main() {
 		streams = flag.Int("streams", 1, "substreams to expect (matching smoothd -streams)")
 	)
 	flag.Parse()
+	if *streams < 1 {
+		log.Fatalf("smoothplay: -streams must be >= 1")
+	}
 
 	conn, err := net.Dial("tcp", *addr)
 	if err != nil {
@@ -32,56 +35,37 @@ func main() {
 	}
 	defer conn.Close()
 
-	if *streams > 1 {
-		if err := receiveMux(conn, *buffer, *delay, *streams); err != nil {
-			log.Fatalf("smoothplay: %v", err)
-		}
-		return
+	// Per-substream split of what played, read off the play events.
+	type streamStats struct {
+		played, bytes int
+		weight        float64
 	}
-
-	var onPlay func(netstream.PlayEvent)
-	if *verbose {
-		onPlay = func(ev netstream.PlayEvent) {
+	per := make([]streamStats, *streams)
+	stats, err := netstream.Receive(conn, *buffer, *delay, *streams, func(ev netstream.PlayEvent) {
+		for _, sl := range ev.Slices {
+			ps := &per[sl.StreamID]
+			ps.played++
+			ps.bytes += sl.Size
+			ps.weight += sl.Weight
+		}
+		if *verbose {
 			log.Printf("step %d: played %d slices, %d incomplete", ev.Step, len(ev.Slices), ev.Incomplete)
 		}
-	}
-	stats, err := netstream.Receive(conn, *buffer, *delay, onPlay)
+	})
 	if err != nil {
 		log.Fatalf("smoothplay: %v", err)
 	}
 	fmt.Printf("negotiated delay: %d steps\n", stats.Delay)
 	fmt.Printf("played:           %d slices (%d bytes)\n", stats.Played, stats.PlayedBytes)
+	if *streams > 1 {
+		for i, ps := range per {
+			fmt.Printf("  stream %d:       %d slices, %d bytes, weight %.0f\n", i, ps.played, ps.bytes, ps.weight)
+		}
+	}
 	fmt.Printf("incomplete:       %d slices\n", stats.Incomplete)
 	fmt.Printf("late bytes:       %d\n", stats.LateBytes)
 	fmt.Printf("peak buffer:      %d bytes\n", stats.MaxBuffer)
 	if stats.Corrupt > 0 {
 		log.Fatalf("smoothplay: %d slices failed payload verification", stats.Corrupt)
 	}
-}
-
-// receiveMux performs the handshake and demultiplexes a shared session.
-func receiveMux(conn net.Conn, buffer, delay, streams int) error {
-	if err := netstream.WriteHello(conn, netstream.Hello{
-		ClientBuffer: uint32(buffer),
-		DesiredDelay: uint32(delay),
-	}); err != nil {
-		return err
-	}
-	msg, err := netstream.ReadMsg(conn)
-	if err != nil {
-		return err
-	}
-	if msg.Accept == nil {
-		return fmt.Errorf("expected accept, got %+v", msg)
-	}
-	stats, err := netstream.ReceiveMux(conn, int(msg.Accept.Delay), streams)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("negotiated delay: %d steps; %d substreams\n", msg.Accept.Delay, streams)
-	for i, ps := range stats.PerStream {
-		fmt.Printf("  stream %d: %d slices, %d bytes, weight %.0f\n", i, ps.Played, ps.Bytes, ps.Weight)
-	}
-	fmt.Printf("incomplete: %d slices\n", stats.Incomplete)
-	return nil
 }

@@ -43,8 +43,8 @@ type recvEntry struct {
 //
 // The delay also fixes the occupancy-recording origin: a client playing
 // out with delay D issues its first resolve for frame (firstStep-1)-D,
-// and Receiver's end-of-step peak-occupancy convention records from play
-// step 0 — frame -D — onward.
+// and the end-of-step peak-occupancy convention records from play step 0
+// — frame -D — onward.
 func (w *RecvWindow) Reset(delay, slack int) {
 	window := delay + slack
 	n := 1
@@ -133,10 +133,12 @@ func (w *RecvWindow) grow(frame int) {
 // ResolveTo plays every frame up to and including frame, in order: each
 // buffered slice counts as played when fully delivered and incomplete
 // otherwise, and its bytes leave the buffer. Frames at or below the
-// watermark are already resolved and are skipped.
+// watermark are already resolved and are skipped. outcome, if non-nil, is
+// called once per resolved slice, frame by frame and within a frame in
+// first-byte order, with the slice's verdict.
 //
 //smoothvet:noalloc
-func (w *RecvWindow) ResolveTo(frame int) {
+func (w *RecvWindow) ResolveTo(frame int, outcome func(frame int, id int32, played bool)) {
 	// Only ingested frames can hold bytes: clamp the walk to maxFrame so a
 	// resolve far past the data (drop gaps, corrupt send steps) costs no
 	// more than the frames actually seen.
@@ -144,25 +146,34 @@ func (w *RecvWindow) ResolveTo(frame int) {
 	if limit > w.maxFrame {
 		limit = w.maxFrame
 	}
+	// Play steps before frame 0 resolve nothing, so the walk below never
+	// visits them; each still records the occupancy buffered so far.
+	if frame > w.reqFrame && w.reqFrame < w.watermark && w.occ > w.maxOcc {
+		w.maxOcc = w.occ
+	}
 	for f := w.watermark + 1; f <= limit; f++ {
 		slot := &w.slots[f&(len(w.slots)-1)]
 		for i := range *slot {
 			e := (*slot)[i]
 			w.occ -= int(e.got)
-			if e.got >= e.size {
+			played := e.got >= e.size
+			if played {
 				w.played++
 			} else {
 				w.incomplete++
 			}
+			if outcome != nil {
+				outcome(f, e.id, played)
+			}
 		}
 		*slot = (*slot)[:0]
-		// Peak occupancy is recorded at playout boundaries, matching
-		// netstream.Receiver's end-of-step convention frame by frame.
+		// Peak occupancy is recorded at playout boundaries: the model's
+		// end-of-step convention, frame by frame.
 		if w.occ > w.maxOcc {
 			w.maxOcc = w.occ
 		}
 	}
-	// Receiver records occupancy at every requested play step, including
+	// A client records occupancy at every requested play step, including
 	// steps whose frame holds nothing (the clamp above skips walking
 	// them, but occupancy is the same at each, so one record suffices).
 	// A repeat request for an already-resolved frame records nothing.
@@ -180,5 +191,5 @@ func (w *RecvWindow) ResolveTo(frame int) {
 // Finish resolves every outstanding frame (end of stream: the receiver
 // plays out everything it has, the seed client's flush(maxFrame+D)).
 func (w *RecvWindow) Finish() {
-	w.ResolveTo(w.maxFrame)
+	w.ResolveTo(w.maxFrame, nil)
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// refReceiver mirrors netstream.Receiver's accounting (map-based, grows
-// with the stream) as an executable model; the equivalence test in
-// internal/netstream additionally checks RecvWindow against the real
-// Receiver over decoded wire messages.
+// refReceiver is the map-based client accounting (it grows with the
+// stream) kept as an executable model of RecvWindow; the wire-level tests
+// in internal/netstream additionally drive RecvWindow over decoded sender
+// output.
 type refReceiver struct {
 	delay      int
 	size       map[int32]int32
@@ -21,6 +22,14 @@ type refReceiver struct {
 	maxOcc     int
 	played     int
 	incomplete int
+	outcomes   []outcome // every resolved slice's verdict, in resolve order
+}
+
+// outcome is one per-slice verdict reported by a resolve.
+type outcome struct {
+	frame  int
+	id     int32
+	played bool
 }
 
 func newRefReceiver(delay int) *refReceiver {
@@ -47,19 +56,21 @@ func (r *refReceiver) ingest(id int32, frame int, size, n int32) {
 	r.occ += int(n)
 }
 
-// resolveTo mirrors the seed client's flush loop: one Receiver.Play per
-// step from the last requested up to frame, recording occupancy after
+// resolveTo mirrors the seed client's flush loop: one play per step from
+// the last requested up to frame, recording occupancy after
 // every play — empty and negative frames included.
 func (r *refReceiver) resolveTo(frame int) {
 	for f := r.reqFrame + 1; f <= frame; f++ {
 		for _, id := range r.byFrame[f] {
 			got := r.got[id]
 			r.occ -= int(got)
-			if got >= r.size[id] {
+			played := got >= r.size[id]
+			if played {
 				r.played++
 			} else {
 				r.incomplete++
 			}
+			r.outcomes = append(r.outcomes, outcome{f, id, played})
 			delete(r.got, id)
 			delete(r.size, id)
 		}
@@ -88,7 +99,8 @@ func checkAgainstRef(t *testing.T, w *RecvWindow, r *refReceiver, ctx string) {
 
 // TestRecvWindowMatchesModel drives random message schedules — chunked
 // slices, step gaps, late bytes, missing tails — through RecvWindow and
-// the map model and requires identical accounting throughout.
+// the map model and requires identical accounting throughout, down to
+// the per-slice outcomes ResolveTo reports and their order.
 func TestRecvWindowMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -96,13 +108,19 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 		var w RecvWindow
 		w.Reset(delay, 2+rng.Intn(6))
 		ref := newRefReceiver(delay)
+		var got []outcome
+		record := func(frame int, id int32, played bool) {
+			got = append(got, outcome{frame, id, played})
+		}
 
 		frames := 5 + rng.Intn(40)
 		nextID := int32(0)
-		step := 0
+		step := -1
 		for f := 0; f < frames; f++ {
 			// A frame advances the clock by 1..4 steps (gaps exercise
-			// multi-frame resolves).
+			// multi-frame resolves); the first frame may be frame 0, so
+			// a resolve can jump from the negative play steps straight
+			// past buffered data.
 			step += 1 + rng.Intn(4)
 			nSlices := rng.Intn(4)
 			for sl := 0; sl < nSlices; sl++ {
@@ -127,7 +145,7 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 						chunkStep += delay + 2 + rng.Intn(5) // late
 					}
 					// The resolve-then-ingest order of the client loop.
-					w.ResolveTo(chunkStep - 1 - delay)
+					w.ResolveTo(chunkStep-1-delay, record)
 					ref.resolveTo(chunkStep - 1 - delay)
 					frame := step // this slice's arrival frame
 					w.Ingest(id, frame, size, n)
@@ -136,9 +154,12 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 				}
 			}
 		}
-		w.Finish()
+		w.ResolveTo(w.MaxFrame(), record)        // Finish, observed
 		ref.resolveTo(ref.watermark + frames*10) // resolve everything
 		checkAgainstRef(t, &w, ref, "end of trial")
+		if fmt.Sprint(got) != fmt.Sprint(ref.outcomes) {
+			t.Fatalf("trial %d: outcomes %v, model %v", trial, got, ref.outcomes)
+		}
 		if w.Occupancy() != 0 {
 			t.Fatalf("trial %d: %d bytes left after Finish", trial, w.Occupancy())
 		}
@@ -171,7 +192,7 @@ func TestRecvWindowResolvePastData(t *testing.T) {
 	var w RecvWindow
 	w.Reset(0, 8)
 	w.Ingest(1, 0, 10, 10)
-	w.ResolveTo(1 << 40) // must clamp to maxFrame, not walk 2^40 frames
+	w.ResolveTo(1<<40, nil) // must clamp to maxFrame, not walk 2^40 frames
 	if w.Played() != 1 {
 		t.Fatalf("played %d, want 1", w.Played())
 	}

@@ -27,7 +27,8 @@
 //     bounded drain time), not the generator.
 //   - Receivers: per-session playout accounting uses core.RecvWindow, the
 //     sliding-window form of the simulator's dense client arrays; played,
-//     incomplete and late-byte accounting matches netstream.Receiver.
+//     incomplete and late-byte accounting is the same window
+//     netstream.Receive plays through.
 //   - Statistics: step lags and stage timings stream into fixed-footprint
 //     log-bucketed histograms (stats.LogHistogram, one per shard, merged
 //     after the run) with a documented <= 1/32 relative quantile error —

@@ -367,7 +367,7 @@ func (sh *shard) onData(s *session, d *netstream.Data, now int64) error {
 	// Frames due strictly before this message's send step have reached
 	// their playout deadline: resolve them, then ingest (the seed
 	// client's flush(SendStep-1) ordering).
-	s.win.ResolveTo(step - 1 - s.delay)
+	s.win.ResolveTo(step-1-s.delay, nil)
 	s.win.Ingest(int32(d.SliceID), int(d.Arrival), int32(d.Size), int32(len(d.Payload)))
 	if sh.eng.cfg.Digest {
 		s.digest = fnvFold(fnvFold(fnvFold(fnvFold(s.digest, d.SliceID), d.SendStep), d.Offset), uint32(len(d.Payload)))

@@ -23,8 +23,8 @@
 //   - Decoder reuses a payload scratch buffer; the Msg it returns — in
 //     particular Msg.Data and Msg.Data.Payload — aliases decoder-owned
 //     memory that the next call overwrites. Callers that retain a message
-//     across calls must copy (Receiver.Ingest copies payload bytes
-//     immediately, so the receive loops in this package are safe).
+//     across calls must copy (Receive only reads each payload as it
+//     arrives, so the receive loop in this package is safe).
 //   - The one-shot WriteHello/WriteAccept/WriteData/WriteEnd helpers draw
 //     their staging buffers from a sync.Pool, and ReadMsg returns fresh
 //     memory the caller owns.

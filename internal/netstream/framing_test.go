@@ -133,13 +133,13 @@ func TestDecoderReset(t *testing.T) {
 }
 
 // TestRecvWindowMatchesReceiver: core.RecvWindow driven by the loadgen
-// client loop (resolve to SendStep-1-delay, ingest by Arrival frame)
-// must account playout exactly like the map-based Receiver over real
-// sender output.
+// client loop (one resolve to SendStep-1-delay per message, ingest by
+// Arrival frame, Finish at End) must account playout exactly like
+// Receive's event-reporting loop over real sender output.
 func TestRecvWindowMatchesReceiver(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		wire, delay := buildWire(t, 100+seed)
-		played, incomplete, rcv := receiveAll(t, bytes.NewReader(wire), delay)
+		played, stats := receiveAll(t, bytes.NewReader(wire), delay, 1)
 
 		var w core.RecvWindow
 		w.Reset(delay, 8)
@@ -153,20 +153,23 @@ func TestRecvWindowMatchesReceiver(t *testing.T) {
 				break
 			}
 			d := msg.Data
-			w.ResolveTo(int(d.SendStep) - 1 - delay)
+			w.ResolveTo(int(d.SendStep)-1-delay, nil)
 			w.Ingest(int32(d.SliceID), int(d.Arrival), int32(d.Size), int32(len(d.Payload)))
 		}
 		w.Finish()
 
-		if w.Played() != len(played) || w.Incomplete() != incomplete {
-			t.Fatalf("seed %d: window played %d incomplete %d, receiver played %d incomplete %d",
-				seed, w.Played(), w.Incomplete(), len(played), incomplete)
+		if w.Played() != len(played) || w.Played() != stats.Played || w.Incomplete() != stats.Incomplete {
+			t.Fatalf("seed %d: window played %d incomplete %d, receiver played %d (%d events) incomplete %d",
+				seed, w.Played(), w.Incomplete(), stats.Played, len(played), stats.Incomplete)
 		}
-		if w.LateBytes() != rcv.LateBytes() {
-			t.Fatalf("seed %d: late bytes %d vs %d", seed, w.LateBytes(), rcv.LateBytes())
+		if w.LateBytes() != stats.LateBytes {
+			t.Fatalf("seed %d: late bytes %d vs %d", seed, w.LateBytes(), stats.LateBytes)
 		}
-		if w.MaxOccupancy() != rcv.MaxOccupancy() {
-			t.Fatalf("seed %d: max occupancy %d vs %d", seed, w.MaxOccupancy(), rcv.MaxOccupancy())
+		if w.MaxOccupancy() != stats.MaxBuffer {
+			t.Fatalf("seed %d: max occupancy %d vs %d", seed, w.MaxOccupancy(), stats.MaxBuffer)
+		}
+		if stats.Corrupt != 0 {
+			t.Fatalf("seed %d: %d corrupt slices", seed, stats.Corrupt)
 		}
 	}
 }

@@ -2,213 +2,68 @@ package netstream
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
-// Muxer feeds several substreams into one Sender — the statistical-
-// multiplexing deployment of package mux, on the wire: all substreams share
-// one smoothing buffer and one paced link, and each data message carries
-// its substream tag so the receiver can demultiplex.
+// Muxer interleaves several substreams into the offers of one session —
+// the statistical-multiplexing deployment of package mux, on the wire: all
+// substreams share one smoothing buffer and one paced link, and each data
+// message carries its substream tag so the receiver can demultiplex.
 //
 // Slice IDs must be unique across the whole session; Muxer assigns them in
 // global (arrival step, substream) order — the same interleaving mux.Merge
 // uses — so that ID-based tie-breaking in drop policies treats every
 // substream identically, and a wire session reproduces the mux.Shared
-// simulation byte for byte.
+// simulation byte for byte. A single substream keeps its own IDs.
 type Muxer struct {
-	streams []*stream.Stream
-	ids     [][]int // ids[si][localID] = session ID
-	local   []struct{ si, local int }
-	horizon int
+	offers []Offered // every slice in session-ID order; Slice.ID is the index
+	start  []int32   // offers[start[t]:start[t+1]] arrive at step t
 }
 
-// NewMuxer wraps the substreams. At least one is required.
-func NewMuxer(streams []*stream.Stream) (*Muxer, error) {
+// NewMuxer interleaves the substreams in one pass over their arrival
+// steps; payload synthesizes the bytes of a slice from its session ID and
+// size. At least one substream is required.
+func NewMuxer(streams []*stream.Stream, payload func(id, size int) []byte) (*Muxer, error) {
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("netstream: muxer needs at least one stream")
 	}
-	m := &Muxer{streams: streams, ids: make([][]int, len(streams))}
-	total := 0
-	for i, st := range streams {
-		m.ids[i] = make([]int, st.Len())
+	horizon, total := 0, 0
+	for _, st := range streams {
 		total += st.Len()
-		if st.Horizon() > m.horizon {
-			m.horizon = st.Horizon()
+		if st.Horizon() > horizon {
+			horizon = st.Horizon()
 		}
 	}
-	m.local = make([]struct{ si, local int }, total)
-	next := 0
-	for step := 0; step <= m.horizon; step++ {
+	m := &Muxer{
+		offers: make([]Offered, 0, total),
+		start:  make([]int32, 0, horizon+2),
+	}
+	for step := 0; step <= horizon; step++ {
+		m.start = append(m.start, int32(len(m.offers)))
 		for si, st := range streams {
 			for _, sl := range st.ArrivalsAt(step) {
-				m.ids[si][sl.ID] = next
-				m.local[next] = struct{ si, local int }{si, sl.ID}
-				next++
+				sl.ID = len(m.offers)
+				m.offers = append(m.offers, Offered{Slice: sl, Payload: payload(sl.ID, sl.Size), StreamID: si})
 			}
 		}
 	}
+	m.start = append(m.start, int32(len(m.offers)))
 	return m, nil
 }
 
 // Horizon returns the largest arrival step across the substreams.
-func (m *Muxer) Horizon() int { return m.horizon }
+func (m *Muxer) Horizon() int { return len(m.start) - 2 }
 
-// Streams returns the number of substreams.
-func (m *Muxer) Streams() int { return len(m.streams) }
-
-// Offers returns the combined arrivals of all substreams at the given step,
-// with session-unique slice IDs and StreamID tags. payload synthesizes the
-// bytes for one slice of one substream.
-func (m *Muxer) Offers(step int, payload func(streamIdx int, sl stream.Slice) []byte) []Offered {
-	var out []Offered
-	for si, st := range m.streams {
-		for _, sl := range st.ArrivalsAt(step) {
-			tagged := sl
-			tagged.ID = m.ids[si][sl.ID]
-			out = append(out, Offered{
-				Slice:    tagged,
-				Payload:  payload(si, sl),
-				StreamID: si,
-			})
-		}
-	}
-	return out
-}
-
-// LocalID converts a session-unique slice ID back to the substream-local ID.
-func (m *Muxer) LocalID(streamIdx, sessionID int) (int, error) {
-	if streamIdx < 0 || streamIdx >= len(m.streams) {
-		return 0, fmt.Errorf("netstream: no substream %d", streamIdx)
-	}
-	if sessionID < 0 || sessionID >= len(m.local) || m.local[sessionID].si != streamIdx {
-		return 0, fmt.Errorf("netstream: session ID %d outside substream %d", sessionID, streamIdx)
-	}
-	return m.local[sessionID].local, nil
-}
-
-// MuxStats aggregates a multiplexed receiving session per substream.
-type MuxStats struct {
-	// PerStream[i] counts the complete slices and payload bytes played
-	// for substream i, and the weight delivered.
-	PerStream []struct {
-		Played int
-		Bytes  int
-		Weight float64
-	}
-	// Incomplete counts slices discarded at their deadline (all streams).
-	Incomplete int
-}
-
-// ServeMux runs a whole multiplexed session over w. Clips are converted to
-// whole-frame streams with the paper's weights; payloads are synthesized
-// deterministically. pace is the wall-clock duration of one model step
-// (0 runs the session as fast as the writer accepts it — fine for buffers
-// and tests, flooding for sockets). It returns the sender's drop count.
-func ServeMux(w io.Writer, clips []*trace.Clip, cfg SenderConfig, pace time.Duration) (dropped int, err error) {
-	streams := make([]*stream.Stream, len(clips))
-	for i, c := range clips {
-		st, err := trace.WholeFrameStream(c, trace.PaperWeights())
-		if err != nil {
-			return 0, err
-		}
-		streams[i] = st
-	}
-	m, err := NewMuxer(streams)
-	if err != nil {
-		return 0, err
-	}
-	snd, err := NewSender(w, cfg)
-	if err != nil {
-		return 0, err
-	}
-	payload := func(si int, sl stream.Slice) []byte {
-		return SynthPayload(sl.ID*31+si, sl.Size)
-	}
-	var tick <-chan time.Time
-	if pace > 0 {
-		ticker := time.NewTicker(pace)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for step := 0; step <= m.Horizon() || snd.Backlog() > 0; step++ {
-		var offers []Offered
-		if step <= m.Horizon() {
-			offers = m.Offers(step, payload)
-		}
-		stats, err := snd.Tick(offers)
-		if err != nil {
-			return dropped, err
-		}
-		dropped += len(stats.Dropped)
-		if tick != nil {
-			<-tick
-		}
-	}
-	return dropped, WriteEnd(w)
-}
-
-// ReceiveMux consumes a multiplexed session from r and returns per-stream
-// playout statistics. streams is the substream count the caller expects.
-func ReceiveMux(r io.Reader, delay, streams int) (*MuxStats, error) {
-	if streams < 1 {
-		return nil, fmt.Errorf("netstream: non-positive stream count %d", streams)
-	}
-	rcv, err := NewReceiver(delay)
-	if err != nil {
-		return nil, err
-	}
-	stats := &MuxStats{PerStream: make([]struct {
-		Played int
-		Bytes  int
-		Weight float64
-	}, streams)}
-	playUpTo := -1
-	maxFrame := -1
-	flush := func(step int) error {
-		for playUpTo < step {
-			playUpTo++
-			ev := rcv.Play(playUpTo)
-			for _, sl := range ev.Slices {
-				if sl.StreamID < 0 || sl.StreamID >= streams {
-					return fmt.Errorf("netstream: slice %d tagged with unknown stream %d", sl.ID, sl.StreamID)
-				}
-				ps := &stats.PerStream[sl.StreamID]
-				ps.Played++
-				ps.Bytes += sl.Size
-				ps.Weight += sl.Weight
-			}
-			stats.Incomplete += ev.Incomplete
-		}
+// Offers returns the combined arrivals of all substreams at the given step
+// (nil outside [0, Horizon]), with session-unique slice IDs and StreamID
+// tags. The result aliases the Muxer; callers must not modify it.
+//
+//smoothvet:aliased
+func (m *Muxer) Offers(step int) []Offered {
+	if step < 0 || step > m.Horizon() {
 		return nil
 	}
-	dec := NewDecoder(r)
-	for {
-		msg, err := dec.Next()
-		if err != nil {
-			return stats, err
-		}
-		if msg.End {
-			break
-		}
-		if msg.Data == nil {
-			return stats, fmt.Errorf("netstream: unexpected message in mux session")
-		}
-		if err := flush(int(msg.Data.SendStep) - 1); err != nil {
-			return stats, err
-		}
-		if int(msg.Data.Arrival) > maxFrame {
-			maxFrame = int(msg.Data.Arrival)
-		}
-		if err := rcv.Ingest(msg.Data); err != nil {
-			return stats, err
-		}
-	}
-	if err := flush(maxFrame + delay); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	lo, hi := m.start[step], m.start[step+1]
+	return m.offers[lo:hi:hi]
 }

@@ -2,150 +2,84 @@ package netstream
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
-	"repro/internal/drop"
-	"repro/internal/mux"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
-func muxClips(t *testing.T, k, frames int) []*trace.Clip {
-	t.Helper()
-	clips := make([]*trace.Clip, k)
-	for i := range clips {
-		cfg := trace.DefaultGenConfig()
-		cfg.Frames = frames
-		cfg.Seed = int64(i + 1)
-		c, err := trace.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clips[i] = c
-	}
-	return clips
-}
-
-func TestMuxerOffersAndLocalIDs(t *testing.T) {
+func TestMuxerOffers(t *testing.T) {
 	a := stream.NewBuilder().Add(0, 1, 1).Add(1, 2, 2).MustBuild()
 	b := stream.NewBuilder().Add(0, 3, 3).MustBuild()
-	m, err := NewMuxer([]*stream.Stream{a, b})
+	var payloadIDs []int
+	m, err := NewMuxer([]*stream.Stream{a, b}, func(id, size int) []byte {
+		payloadIDs = append(payloadIDs, id)
+		return make([]byte, size)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Streams() != 2 || m.Horizon() != 1 {
-		t.Errorf("streams=%d horizon=%d", m.Streams(), m.Horizon())
+	if m.Horizon() != 1 {
+		t.Errorf("horizon=%d", m.Horizon())
 	}
-	offers := m.Offers(0, func(si int, sl stream.Slice) []byte {
-		return make([]byte, sl.Size)
-	})
-	if len(offers) != 2 {
-		t.Fatalf("step-0 offers = %d", len(offers))
-	}
-	// Session IDs are unique and interleaved by (arrival, stream):
+	// Session IDs are dense and interleaved by (arrival, stream):
 	// a.slice0 -> 0, b.slice0 -> 1, a.slice1 -> 2.
-	ids := map[int]bool{}
-	for _, o := range offers {
-		if ids[o.Slice.ID] {
-			t.Fatalf("duplicate session ID %d", o.Slice.ID)
+	want := []struct{ step, id, stream, size int }{
+		{0, 0, 0, 1}, {0, 1, 1, 3}, {1, 2, 0, 2},
+	}
+	var got []Offered
+	for step := 0; step <= m.Horizon(); step++ {
+		got = append(got, m.Offers(step)...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d offers, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		o := got[i]
+		if o.Slice.Arrival != w.step || o.Slice.ID != w.id || o.StreamID != w.stream ||
+			o.Slice.Size != w.size || len(o.Payload) != w.size {
+			t.Errorf("offer %d = %+v, want %+v", i, o, w)
 		}
-		ids[o.Slice.ID] = true
 	}
-	local, err := m.LocalID(1, 1)
-	if err != nil || local != 0 {
-		t.Errorf("LocalID(1, 1) = %d, %v; want 0", local, err)
+	if len(payloadIDs) != 3 || payloadIDs[0] != 0 || payloadIDs[1] != 1 || payloadIDs[2] != 2 {
+		t.Errorf("payloads synthesized for session IDs %v, want [0 1 2]", payloadIDs)
 	}
-	if _, err := m.LocalID(1, 0); err == nil {
-		t.Error("cross-stream session ID accepted")
+	if m.Offers(-1) != nil || m.Offers(2) != nil {
+		t.Error("offers outside [0, Horizon]")
 	}
-	if _, err := m.LocalID(5, 0); err == nil {
-		t.Error("unknown substream accepted")
-	}
-	if _, err := NewMuxer(nil); err == nil {
+	if _, err := NewMuxer(nil, SynthPayload); err == nil {
 		t.Error("empty muxer accepted")
 	}
-}
-
-// TestMuxSessionMatchesSharedSimulation — the wire mux session delivers
-// exactly the per-stream benefit that the mux.Shared simulation predicts.
-func TestMuxSessionMatchesSharedSimulation(t *testing.T) {
-	const k = 3
-	clips := muxClips(t, k, 200)
-	streams := make([]*stream.Stream, k)
-	totalBytes, horizon := 0, 0
-	for i, c := range clips {
-		st, err := trace.WholeFrameStream(c, trace.PaperWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams[i] = st
-		totalBytes += st.TotalBytes()
-		if st.Horizon() > horizon {
-			horizon = st.Horizon()
-		}
-	}
-	R := int(0.95 * float64(totalBytes) / float64(horizon+1))
-	B := 4 * 120 * k
-
-	var wire bytes.Buffer
-	dropped, err := ServeMux(&wire, clips, SenderConfig{ServerBuffer: B, Rate: R, Policy: drop.Greedy}, 0)
+	// One substream keeps its own IDs and payloads.
+	one, err := NewMuxer([]*stream.Stream{a}, SynthPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay := (B + R - 1) / R
-	stats, err := ReceiveMux(&wire, delay, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sim, err := mux.Shared(streams, R, B, drop.Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		if math.Abs(stats.PerStream[i].Weight-sim.PerStream[i].PlayedWeight) > 1e-6 {
-			t.Errorf("stream %d: wire weight %v != simulated %v",
-				i, stats.PerStream[i].Weight, sim.PerStream[i].PlayedWeight)
+	for step := 0; step <= a.Horizon(); step++ {
+		for i, o := range one.Offers(step) {
+			sl := a.ArrivalsAt(step)[i]
+			if o.Slice != sl || o.StreamID != 0 || !bytes.Equal(o.Payload, SynthPayload(sl.ID, sl.Size)) {
+				t.Errorf("single-stream offer %+v, stream slice %+v", o, sl)
+			}
 		}
-		if stats.PerStream[i].Bytes != sim.PerStream[i].PlayedBytes {
-			t.Errorf("stream %d: wire bytes %d != simulated %d",
-				i, stats.PerStream[i].Bytes, sim.PerStream[i].PlayedBytes)
-		}
-	}
-	if stats.Incomplete != 0 {
-		t.Errorf("%d incomplete slices on a lossless wire", stats.Incomplete)
-	}
-	// Drops happened iff the simulation dropped.
-	simDropped := 0
-	for i := range sim.PerStream {
-		simDropped += streams[i].Len()
-	}
-	simPlayed := 0
-	for i := range sim.PerStream {
-		simPlayed += stats.PerStream[i].Played
-	}
-	if dropped != simDropped-simPlayed {
-		t.Errorf("wire dropped %d, simulation %d", dropped, simDropped-simPlayed)
 	}
 }
 
+// TestReceiveMuxValidation — a multiplexed receive needs a positive
+// substream count, and a slice tagged with a substream outside it fails
+// the session.
 func TestReceiveMuxValidation(t *testing.T) {
-	if _, err := ReceiveMux(bytes.NewReader(nil), 1, 0); err == nil {
+	var conn bytes.Buffer
+	if _, err := Receive(&conn, 0, 1, 0, nil); err == nil {
 		t.Error("stream count 0 accepted")
 	}
-	// A data message tagged with an out-of-range stream fails cleanly.
-	var wire bytes.Buffer
-	if err := WriteData(&wire, Data{StreamID: 9, SliceID: 1, Arrival: 0, Size: 1, SendStep: 0, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
+	if conn.Len() != 0 {
+		t.Error("hello sent for an invalid stream count")
 	}
-	if err := WriteData(&wire, Data{StreamID: 9, SliceID: 2, Arrival: 1, Size: 1, SendStep: 5, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteEnd(&wire); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReceiveMux(&wire, 1, 2); err == nil {
+	wire := wireOf(t,
+		Data{StreamID: 1, SliceID: 1, Arrival: 0, Size: 1, SendStep: 0, Payload: SynthPayload(1, 1)},
+		Data{StreamID: 2, SliceID: 2, Arrival: 1, Size: 1, SendStep: 5, Payload: SynthPayload(2, 1)},
+	)
+	if _, err := play(wire, 1, 2, nil); err == nil {
 		t.Error("out-of-range stream tag accepted")
 	}
 }

@@ -135,41 +135,18 @@ func pump(t *testing.T, st *stream.Stream, cfg SenderConfig, w io.Writer) *Sende
 	return s
 }
 
-// receiveAll consumes a byte stream synchronously and returns the stats.
-func receiveAll(t *testing.T, r io.Reader, delay int) (played []ReceivedSlice, incomplete int, rcv *Receiver) {
+// receiveAll plays a whole session's data messages through Receive's
+// playout loop and returns every played slice with the session stats.
+func receiveAll(t *testing.T, r io.Reader, delay, streams int) ([]PlayedSlice, PlayStats) {
 	t.Helper()
-	rcv, err := NewReceiver(delay)
+	var played []PlayedSlice
+	stats, err := play(r, delay, streams, func(ev PlayEvent) {
+		played = append(played, ev.Slices...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	playUpTo := -1
-	flush := func(step int) {
-		for playUpTo < step {
-			playUpTo++
-			ev := rcv.Play(playUpTo)
-			played = append(played, ev.Slices...)
-			incomplete += ev.Incomplete
-		}
-	}
-	maxFrame := -1
-	for {
-		msg, err := ReadMsg(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.End {
-			break
-		}
-		flush(int(msg.Data.SendStep) - 1)
-		if int(msg.Data.Arrival) > maxFrame {
-			maxFrame = int(msg.Data.Arrival)
-		}
-		if err := rcv.Ingest(msg.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flush(maxFrame + delay)
-	return played, incomplete, rcv
+	return played, stats
 }
 
 // TestEndToEndMatchesSimulation — the wire pipeline plays exactly the same
@@ -189,7 +166,7 @@ func TestEndToEndMatchesSimulation(t *testing.T) {
 
 		var wire bytes.Buffer
 		snd := pump(t, st, SenderConfig{ServerBuffer: B, Rate: R, Policy: drop.Greedy}, &wire)
-		played, incomplete, _ := receiveAll(t, &wire, snd.Delay())
+		played, stats := receiveAll(t, &wire, snd.Delay(), 1)
 
 		sim, err := core.Simulate(st, core.Config{ServerBuffer: B, Rate: R, Policy: drop.Greedy})
 		if err != nil {
@@ -201,21 +178,30 @@ func TestEndToEndMatchesSimulation(t *testing.T) {
 				wantPlayed[id] = true
 			}
 		}
-		if incomplete != 0 {
-			t.Fatalf("trial %d: %d incomplete slices on a lossless wire", trial, incomplete)
+		if stats.Incomplete != 0 {
+			t.Fatalf("trial %d: %d incomplete slices on a lossless wire", trial, stats.Incomplete)
 		}
-		if len(played) != len(wantPlayed) {
-			t.Fatalf("trial %d: wire played %d slices, simulation %d", trial, len(played), len(wantPlayed))
+		if stats.Corrupt != 0 {
+			t.Fatalf("trial %d: %d played slices failed payload verification", trial, stats.Corrupt)
+		}
+		if len(played) != len(wantPlayed) || stats.Played != len(played) {
+			t.Fatalf("trial %d: wire played %d slices (stats %d), simulation %d",
+				trial, len(played), stats.Played, len(wantPlayed))
 		}
 		var benefit float64
+		playedBytes := 0
 		for _, sl := range played {
 			if !wantPlayed[sl.ID] {
 				t.Fatalf("trial %d: wire played slice %d the simulation dropped", trial, sl.ID)
 			}
-			if !bytes.Equal(sl.Payload, SynthPayload(sl.ID, sl.Size)) {
-				t.Fatalf("trial %d: slice %d payload corrupted", trial, sl.ID)
+			if sl.Size != st.Slice(sl.ID).Size || sl.Weight != st.Slice(sl.ID).Weight {
+				t.Fatalf("trial %d: slice %d played as %+v, stream has %+v", trial, sl.ID, sl, st.Slice(sl.ID))
 			}
 			benefit += sl.Weight
+			playedBytes += sl.Size
+		}
+		if playedBytes != stats.PlayedBytes {
+			t.Fatalf("trial %d: events carry %d bytes, stats %d", trial, playedBytes, stats.PlayedBytes)
 		}
 		if math.Abs(benefit-sim.Benefit()) > 1e-9 {
 			t.Fatalf("trial %d: wire benefit %v != sim benefit %v", trial, benefit, sim.Benefit())
@@ -223,48 +209,98 @@ func TestEndToEndMatchesSimulation(t *testing.T) {
 	}
 }
 
+// wireOf encodes data messages followed by End.
+func wireOf(t *testing.T, msgs ...Data) *bytes.Buffer {
+	t.Helper()
+	var wire bytes.Buffer
+	for _, d := range msgs {
+		if err := WriteData(&wire, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteEnd(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return &wire
+}
+
 func TestReceiverLateBytesDiscarded(t *testing.T) {
-	rcv, err := NewReceiver(1)
+	// Delay 1: frame 0 plays at step 1. Slice 0 gets one of its two bytes
+	// in time; the second arrives at step 5, after its frame played.
+	wire := wireOf(t,
+		Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 0, Offset: 0, Payload: []byte{1}},
+		Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 5, Offset: 1, Payload: []byte{2}},
+	)
+	var events []PlayEvent
+	stats, err := play(wire, 1, 1, func(ev PlayEvent) { events = append(events, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame 0 plays at step 1.
-	if err := rcv.Ingest(&Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 0, Offset: 0, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
+	if len(events) != 1 || events[0].Step != 1 || events[0].Incomplete != 1 || len(events[0].Slices) != 0 {
+		t.Fatalf("play events %+v, want one step-1 event with 1 incomplete slice", events)
 	}
-	ev := rcv.Play(0)
-	if len(ev.Slices) != 0 || ev.Incomplete != 0 {
-		t.Fatalf("Play(0) = %+v", ev)
+	if stats.Incomplete != 1 || stats.Played != 0 {
+		t.Errorf("incomplete %d played %d, want 1 and 0", stats.Incomplete, stats.Played)
 	}
-	ev = rcv.Play(1)
-	if ev.Incomplete != 1 {
-		t.Fatalf("incomplete slice not reported: %+v", ev)
+	if stats.LateBytes != 1 {
+		t.Errorf("LateBytes = %d, want 1", stats.LateBytes)
 	}
-	// A late byte of frame 0 arrives afterwards: discarded and counted.
-	if err := rcv.Ingest(&Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 5, Offset: 1, Payload: []byte{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if rcv.LateBytes() != 1 {
-		t.Errorf("LateBytes = %d, want 1", rcv.LateBytes())
-	}
-	if rcv.Occupancy() != 0 {
-		t.Errorf("occupancy = %d after late discard", rcv.Occupancy())
+	if stats.MaxBuffer != 1 {
+		t.Errorf("MaxBuffer = %d, want the 1 byte buffered before step 1", stats.MaxBuffer)
 	}
 }
 
 func TestReceiverBadMessages(t *testing.T) {
-	rcv, err := NewReceiver(2)
-	if err != nil {
+	cases := []struct {
+		name string
+		msgs []Data
+	}{
+		{"zero size", []Data{{SliceID: 1, Arrival: 0, Size: 0}}},
+		{"oversize", []Data{{SliceID: 1, Arrival: 0, Size: MaxPayload + 1}}},
+		{"offset past size", []Data{{SliceID: 2, Arrival: 0, Size: 2, Offset: 2, Payload: []byte{1}}}},
+		{"sent before arrival", []Data{{SliceID: 3, Arrival: 1000, Size: 1, SendStep: 0, Payload: []byte{1}}}},
+		{"size changed mid-slice", []Data{
+			{SliceID: 4, Arrival: 0, Size: 2, Payload: []byte{1}},
+			{SliceID: 4, Arrival: 0, Size: 9, Offset: 1, Payload: []byte{1, 2, 3}},
+		}},
+		{"frame changed mid-slice", []Data{
+			{SliceID: 5, Arrival: 0, Size: 2, SendStep: 1, Payload: []byte{1}},
+			{SliceID: 5, Arrival: 1, Size: 2, SendStep: 1, Offset: 1, Payload: []byte{1}},
+		}},
+	}
+	for _, tc := range cases {
+		if _, err := play(wireOf(t, tc.msgs...), 2, 1, nil); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// A non-data message mid-stream fails the session.
+	var wire bytes.Buffer
+	if err := WriteHello(&wire, Hello{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rcv.Ingest(&Data{SliceID: 1, Arrival: 0, Size: 0}); err == nil {
-		t.Error("zero-size slice accepted")
+	if _, err := play(&wire, 2, 1, nil); err == nil {
+		t.Error("hello mid-stream accepted")
 	}
-	if err := rcv.Ingest(&Data{SliceID: 2, Arrival: 0, Size: 2, Offset: 2, Payload: []byte{1}}); err == nil {
-		t.Error("out-of-range offset accepted")
+}
+
+// TestReceiveVerifiesPayload — played slices are checked byte for byte
+// against SynthPayload, whichever order their chunks arrive in.
+func TestReceiveVerifiesPayload(t *testing.T) {
+	good := SynthPayload(7, 6)
+	bad := SynthPayload(8, 3)
+	bad[1] ^= 1
+	wire := wireOf(t,
+		// Slice 7's tail leaves before its head: the check replays.
+		Data{SliceID: 7, Arrival: 0, Size: 6, Offset: 3, Payload: good[3:]},
+		Data{SliceID: 7, Arrival: 0, Size: 6, Offset: 0, Payload: good[:3]},
+		Data{SliceID: 8, Arrival: 0, Size: 3, Offset: 0, Payload: bad},
+	)
+	played, stats := receiveAll(t, wire, 1, 1)
+	if len(played) != 2 || stats.PlayedBytes != 9 {
+		t.Fatalf("played %+v (%d bytes), want slices 7 and 8 (9 bytes)", played, stats.PlayedBytes)
 	}
-	if _, err := NewReceiver(-1); err == nil {
-		t.Error("negative delay accepted")
+	if stats.Corrupt != 1 {
+		t.Fatalf("Corrupt = %d, want 1 (slice 8 only)", stats.Corrupt)
 	}
 }
 

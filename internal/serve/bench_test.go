@@ -28,7 +28,7 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 	}
 	for _, sessions := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("cohort/sessions=%d", sessions), func(b *testing.B) {
-			eng, err := newEngine(clip, trace.PaperWeights(), Config{
+			eng, err := newEngine([]*trace.Clip{clip}, trace.PaperWeights(), Config{
 				Rate:         2 * int(clip.AverageRate()),
 				Shards:       1,
 				StepDuration: time.Millisecond, // never ticks: we drive the shard manually

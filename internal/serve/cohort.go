@@ -7,9 +7,9 @@ import (
 )
 
 // The cohort schedule cache is the engine's compute-once-serve-many layer.
-// Per-session output is a pure function of (clip, rate, delay, buffer,
+// Per-session output is a pure function of (clips, rate, delay, buffer,
 // policy) — see the determinism contract in the package comment. Rate,
-// clip and policy are engine-wide, and negotiation always yields
+// clips and policy are engine-wide, and negotiation always yields
 // buffer = rate·delay, so the delay alone keys a schedule: there is
 // exactly one schedule to compute and one byte stream to encode per
 // delay. A Cohort memoizes both: the full per-step send/drop plan of a
@@ -97,19 +97,11 @@ func (e *Engine) buildCohort(delay int) (*Cohort, error) {
 		return nil, err
 	}
 	c := &Cohort{}
-	horizon := e.st.Horizon()
+	horizon := e.mux.Horizon()
 	dropped := 0
-	// One offer slice serves every step: Tick copies the slices out and
-	// keeps only the shared payloads.
-	var offers []netstream.Offered
 	for step := 0; ; step++ {
-		offers = offers[:0]
-		if step <= horizon {
-			for _, sl := range e.st.ArrivalsAt(step) {
-				offers = append(offers, netstream.Offered{Slice: sl, Payload: e.payloads[sl.ID]})
-			}
-		}
-		stats, err := snd.Tick(offers)
+		// Tick copies the slices out and keeps only the shared payloads.
+		stats, err := snd.Tick(e.mux.Offers(step))
 		if err != nil {
 			return nil, err
 		}

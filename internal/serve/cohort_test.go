@@ -159,7 +159,7 @@ func TestCohortGoldenEquivalence(t *testing.T) {
 // to the full wire stream, and mid-stream cursors see monotone drops.
 func TestCohortStepSlices(t *testing.T) {
 	clip := testClip(t, 20)
-	eng, err := newEngine(clip, trace.PaperWeights(), Config{
+	eng, err := newEngine([]*trace.Clip{clip}, trace.PaperWeights(), Config{
 		Rate:         int(clip.AverageRate()),
 		Shards:       1,
 		StepDuration: time.Millisecond,
@@ -196,7 +196,7 @@ func TestCohortStepSlices(t *testing.T) {
 // plans, and every delay up to MaxDelay is cacheable (there is no cap).
 func TestCohortCache(t *testing.T) {
 	clip := testClip(t, 10)
-	eng, err := newEngine(clip, trace.PaperWeights(), Config{
+	eng, err := newEngine([]*trace.Clip{clip}, trace.PaperWeights(), Config{
 		Rate:         2 * int(clip.AverageRate()),
 		Shards:       1,
 		StepDuration: time.Millisecond,
@@ -235,7 +235,7 @@ func TestCohortCache(t *testing.T) {
 // -race in CI).
 func TestCohortCacheConcurrent(t *testing.T) {
 	clip := testClip(t, 10)
-	eng, err := newEngine(clip, trace.PaperWeights(), Config{
+	eng, err := newEngine([]*trace.Clip{clip}, trace.PaperWeights(), Config{
 		Rate:         2 * int(clip.AverageRate()),
 		Shards:       1,
 		StepDuration: time.Millisecond,

@@ -2,15 +2,17 @@
 // production-shaped deployment of the paper's Fig. 1 system. Instead of one
 // goroutine and one time.Ticker per connection, the engine runs N shard
 // loops, each driven by a single clock that steps every session registered
-// on the shard. Sessions are assigned to shards by connection hash, and all
-// of a session's per-step work happens on its shard goroutine, so sessions
-// need no locks of their own.
+// on the shard. A session carries one clip, or K clips multiplexed through
+// one shared smoothing buffer (package mux's shared mode, on the wire).
+// Sessions are assigned to shards by connection hash, and all of a
+// session's per-step work happens on its shard goroutine, so sessions need
+// no locks of their own.
 //
-// Per-session output is completely determined by the clip, the drop policy
-// and the negotiated (B, R, D): shard assignment only decides *which*
-// goroutine advances a session's private clock, so the byte stream a client
-// sees is identical for any shard count (engine_test.go locks this down,
-// mirroring the sweep engine's worker-count invariance).
+// Per-session output is completely determined by the clips, the drop
+// policy and the negotiated (B, R, D): shard assignment only decides
+// *which* goroutine advances a session's private clock, so the byte stream
+// a client sees is identical for any shard count (engine_test.go locks
+// this down, mirroring the sweep engine's worker-count invariance).
 //
 // The same purity makes serving compute-once-serve-many (cohort.go).
 // Negotiation always yields B = R·D, so the delay alone names a session's
@@ -55,13 +57,10 @@ type Config struct {
 	// MaxDelay caps the smoothing delay granted to a client, in steps.
 	// Defaults to 64. Plans are cached per delay, so it also bounds the
 	// engine's plan memory: at most MaxDelay plans, each one encoded copy
-	// of the clip.
+	// of the clips.
 	MaxDelay int
 	// Policy selects the drop policy (default drop.Greedy).
 	Policy drop.Factory
-	// WriteTimeout bounds each batched wire flush so one dead client
-	// cannot stall its shard forever. Defaults to 30s; negative disables.
-	WriteTimeout time.Duration
 	// OnSessionDone, if non-nil, is called from the shard goroutine after
 	// a session ends (err is nil for a clean drain to End).
 	OnSessionDone func(s SessionStats, err error)
@@ -82,15 +81,18 @@ type SessionStats struct {
 	Elapsed time.Duration
 }
 
-// Engine serves one clip to many concurrent sessions over shard loops.
+// writeTimeout bounds each batched wire flush so one dead client cannot
+// stall its shard forever.
+const writeTimeout = 30 * time.Second
+
+// Engine serves its clips to many concurrent sessions over shard loops.
 type Engine struct {
 	cfg Config
-	st  *stream.Stream
-	//smoothvet:frozen per-slice synthesized payload, shared by all sessions
-	payloads [][]byte
-	shards   []*shard
-	seed     maphash.Seed
-	cohorts  []cohortEntry // indexed by negotiated delay, 1..MaxDelay
+	//smoothvet:frozen per-step offers with synthesized payloads, shared by all plan builds
+	mux     *netstream.Muxer
+	shards  []*shard
+	seed    maphash.Seed
+	cohorts []cohortEntry // indexed by negotiated delay, 1..MaxDelay
 
 	met     *engineMetrics
 	recs    []*obs.FlightRecorder
@@ -106,7 +108,16 @@ type Engine struct {
 
 // New builds an engine for the clip and starts its shard loops.
 func New(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
-	e, err := newEngine(clip, weights, cfg)
+	return NewMux([]*trace.Clip{clip}, weights, cfg)
+}
+
+// NewMux builds an engine that serves every session all of the clips,
+// multiplexed through one smoothing buffer of B = R·D, and starts its
+// shard loops. Slices get session IDs in (arrival, clip) order and data
+// messages carry the clip index as their substream tag; one clip serves
+// exactly the bytes New does.
+func NewMux(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
+	e, err := newEngine(clips, weights, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +131,7 @@ func New(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error)
 
 // newEngine builds the engine without starting the shard clocks; tests and
 // benchmarks drive the shards manually via shard.step.
-func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
+func newEngine(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("serve: rate %d", cfg.Rate)
 	}
@@ -133,21 +144,22 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 64
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
+	streams := make([]*stream.Stream, len(clips))
+	for i, c := range clips {
+		st, err := trace.WholeFrameStream(c, weights)
+		if err != nil {
+			return nil, err
+		}
+		streams[i] = st
 	}
-	st, err := trace.WholeFrameStream(clip, weights)
+	// Payload bytes depend only on (session slice ID, size): synthesize
+	// them once and share them across every plan build.
+	mux, err := netstream.NewMuxer(streams, netstream.SynthPayload)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := &Engine{cfg: cfg, st: st, seed: maphash.MakeSeed()}
+	e := &Engine{cfg: cfg, mux: mux, seed: maphash.MakeSeed()}
 	e.cohorts = make([]cohortEntry, cfg.MaxDelay+1)
-	// Payload bytes depend only on (slice ID, size): synthesize them once
-	// and share them across every plan build.
-	e.payloads = make([][]byte, st.Len())
-	for id := 0; id < st.Len(); id++ {
-		e.payloads[id] = netstream.SynthPayload(id, st.Slice(id).Size)
-	}
 	e.met = newEngineMetrics(e, cfg.Shards, cfg.Instrument)
 	e.recs = make([]*obs.FlightRecorder, cfg.Shards)
 	e.shards = make([]*shard, cfg.Shards)
@@ -251,12 +263,9 @@ func (e *Engine) handshake(conn net.Conn) (*shard, cohortRow, error) {
 	}
 	remote := conn.RemoteAddr().String()
 	sh := e.shards[e.shardOf(remote)]
-	w := io.Writer(conn)
-	if e.cfg.WriteTimeout > 0 {
-		// The deadline writer arms against the shard's tick clock, so the
-		// shard must be fixed before the writer is built.
-		w = &deadlineWriter{c: conn, d: e.cfg.WriteTimeout, clk: &sh.clk}
-	}
+	// The deadline writer arms against the shard's tick clock, so the
+	// shard must be fixed before the writer is built.
+	w := &deadlineWriter{c: conn, d: writeTimeout, clk: &sh.clk}
 	return sh, cohortRow{
 		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
 	}, nil

@@ -36,7 +36,7 @@ type clientResult struct {
 // set of played slice IDs.
 func runClient(conn net.Conn, delay int) (clientResult, error) {
 	res := clientResult{played: map[int]bool{}}
-	stats, err := netstream.Receive(conn, 0, delay, func(ev netstream.PlayEvent) {
+	stats, err := netstream.Receive(conn, 0, delay, 1, func(ev netstream.PlayEvent) {
 		for _, sl := range ev.Slices {
 			res.played[sl.ID] = true
 		}
@@ -348,7 +348,7 @@ func TestServeReceiveOverPipe(t *testing.T) {
 	go func() { handled <- eng.Handle(server) }()
 
 	var events int
-	stats, err := netstream.Receive(client, 0, 8, func(netstream.PlayEvent) { events++ })
+	stats, err := netstream.Receive(client, 0, 8, 1, func(netstream.PlayEvent) { events++ })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,6 +60,13 @@ go test ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== livecast smoke (one real TCP session)"
+# netstream.Receive against a one-shard serving engine over loopback TCP:
+# the example exits non-zero on any corrupt slice or a client peak buffer
+# above R·D (Lemma 3.4), so the client every tool but loadgen uses is
+# exercised on a real socket.
+go run ./examples/livecast
+
 echo "== loopback capacity smoke (1k sessions)"
 # One real client-engine wave against a real serving engine over loopback
 # TCP — the cheap end-to-end check that the sharded client reactor, the
