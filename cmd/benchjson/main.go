@@ -11,7 +11,10 @@
 //	BenchmarkName-8   125   9561906 ns/op   4096 B/op   12 allocs/op
 //
 // plus the goos/goarch/pkg/cpu header lines, and ignores everything else
-// (PASS, ok, test log output).
+// (PASS, ok, test log output). A benchmark run more than once (-count N)
+// folds into one row: the median ns/op and the largest B/op and
+// allocs/op, so a noisy timing sample cannot decide a gate and an
+// allocation seen once is never hidden.
 package main
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -129,6 +133,7 @@ func Parse(r io.Reader) (*File, error) {
 			doc.Benchmarks = append(doc.Benchmarks, res)
 		}
 	}
+	doc.Benchmarks = fold(doc.Benchmarks)
 	if !multiPkg {
 		// Single-package input: keep the package at the file level only,
 		// preserving the original compact format.
@@ -137,6 +142,45 @@ func Parse(r io.Reader) (*File, error) {
 		}
 	}
 	return doc, sc.Err()
+}
+
+// fold merges the rows of each (pkg, name, procs) into one, at the
+// position of its first row: the median ns/op (the mean of the middle
+// two for an even count) and the largest B/op and allocs/op.
+func fold(rows []Result) []Result {
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	var out []Result
+	ns := map[key][]float64{}
+	at := map[key]int{}
+	for _, r := range rows {
+		k := key{r.Pkg, r.Name, r.Procs}
+		i, seen := at[k]
+		if !seen {
+			at[k] = len(out)
+			out = append(out, r)
+		} else {
+			out[i].BytesPerOp = maxPtr(out[i].BytesPerOp, r.BytesPerOp)
+			out[i].AllocsPerOp = maxPtr(out[i].AllocsPerOp, r.AllocsPerOp)
+		}
+		ns[k] = append(ns[k], r.NsPerOp)
+	}
+	for k, i := range at {
+		v := ns[k]
+		sort.Float64s(v)
+		out[i].NsPerOp = (v[(len(v)-1)/2] + v[len(v)/2]) / 2
+	}
+	return out
+}
+
+// maxPtr returns the larger of two optional values.
+func maxPtr(a, b *int64) *int64 {
+	if a == nil || b != nil && *b > *a {
+		return b
+	}
+	return a
 }
 
 // parseLine parses one benchmark result line; ok is false for lines that

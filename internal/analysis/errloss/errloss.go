@@ -10,9 +10,9 @@
 //     method set has SetWriteDeadline, i.e. net.Conn and friends) must be
 //     preceded in the same function by arming a write deadline on that
 //     same connection, so one stalled client cannot wedge a shard loop
-//     forever. Writers that are plain io.Writer are out of scope — the
-//     serve engine wraps conns in deadlineWriter exactly to concentrate
-//     this obligation in one checked place.
+//     forever. Writers that are plain io.Writer are out of scope, as are
+//     raw non-blocking fd writes (the serve engine writes sessions through
+//     its reactor shard and never blocks on a conn).
 package errloss
 
 import (
@@ -136,8 +136,8 @@ func calleeName(pass *framework.Pass, call *ast.CallExpr) string {
 // receivers that no path from the function entry arms with
 // recv.SetWriteDeadline(...) first. Arming is tracked flow-sensitively
 // over the framework CFG with may-reach semantics: an arm on some path to
-// the write suffices (the deadlineWriter pattern arms conditionally, once
-// per tick), but an arm the control flow cannot carry to the write — on a
+// the write suffices (a writer may arm conditionally, say once per tick),
+// but an arm the control flow cannot carry to the write — on a
 // returning branch, or later in source — no longer does, which is the
 // false-negative gap the old position-based check had.
 func checkWriteDeadlines(pass *framework.Pass, body *ast.BlockStmt) {

@@ -57,8 +57,8 @@ func armOnDeadBranch(c conn, p []byte, bail bool) error {
 	return err
 }
 
-// armMayReach: an arm on one path into the write suffices (the
-// deadlineWriter arms conditionally, once per tick).
+// armMayReach: an arm on one path into the write suffices (a writer may
+// arm conditionally, say once per tick).
 func armMayReach(c conn, p []byte, stale bool) error {
 	if stale {
 		if err := c.SetWriteDeadline(time.Time{}.Add(time.Second)); err != nil {

@@ -42,7 +42,7 @@
 //     Config.StallTimeout retire the session.
 //
 // Every wake stamps one engine-monotonic clock reading shared by all
-// sessions drained in it (the tickClock pattern), so flight-recorder
+// sessions drained in it (the reactor core's stamp), so flight-recorder
 // ticks and stall measurements never read the wall clock on the hot
 // path. The relay path carries //smoothvet:noalloc and the shard structs
 // //smoothvet:confined; BenchmarkLBRelayStep pins the per-step relay at

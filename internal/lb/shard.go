@@ -63,7 +63,7 @@ func newShard(e *Engine, idx int) (*shard, error) {
 		met: e.met.reg.Shard(idx),
 		rec: e.recs[idx+1],
 	}
-	if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive); err != nil {
+	if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive, 0); err != nil {
 		return nil, err
 	}
 	return sh, nil

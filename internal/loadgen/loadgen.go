@@ -15,10 +15,9 @@
 //     connection to a shard chosen by session index.
 //   - Shard reactors: each shard embeds a reactor.Core (internal/reactor)
 //     whose epoll set wakes when any of its sessions' sockets turn
-//     readable. A wake stamps one monotonic clock reading (the tickClock
-//     pattern of internal/serve, measured from a single engine-wide
-//     monotonic base), drains each ready socket into a shard-owned
-//     scratch buffer with non-blocking reads, and
+//     readable. A wake stamps one monotonic clock reading (measured from
+//     a single engine-wide monotonic base), drains each ready socket into
+//     a shard-owned scratch buffer with non-blocking reads, and
 //     parses complete messages through one scratch-reusing
 //     netstream.Decoder per shard. The old generator's per-session
 //     goroutines took per-message wall-clock readings that skewed under

@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,6 +258,53 @@ func TestStageFailureAccounting(t *testing.T) {
 		}
 	})
 
+	t.Run("bad-arrival", func(t *testing.T) {
+		// The first session gets one data message claiming a frame far
+		// past its send step; the rest get a clean stream to End.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		var conns atomic.Int64
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				bad := conns.Add(1) == 1
+				go func(c net.Conn) {
+					defer c.Close()
+					if msg, err := netstream.ReadMsg(c); err != nil || msg.Hello == nil {
+						return
+					}
+					_ = netstream.WriteAccept(c, netstream.Accept{
+						Rate: 10, Delay: 4, ServerBuffer: 40, StepMicros: 1000,
+					})
+					if bad {
+						_ = netstream.WriteData(c, netstream.Data{
+							SliceID: 0, Arrival: 1 << 20, Size: 1, Weight: 1, Payload: []byte{1},
+						})
+						_, _ = io.Copy(io.Discard, c) // hold the conn until the client drops it
+						return
+					}
+					for step := uint32(0); step < 3; step++ {
+						_ = netstream.WriteData(c, netstream.Data{
+							SliceID: step, Arrival: step, Size: 4, Weight: 1,
+							SendStep: step, Payload: []byte{1, 2, 3, 4},
+						})
+					}
+					_ = netstream.WriteEnd(c)
+				}(c)
+			}
+		}()
+		stages, errs, rep := runStages(t, ln.Addr().String(), 6, 2*time.Second)
+		if rep.MidStreamFailed != 1 || stages[StageMidStream] != 1 || errs[errBadSlice] != 1 || rep.Completed != 5 {
+			t.Fatalf("want 1 bad-slice failure and 5 completions, got report %+v stages %v errors %v", rep, stages, errs)
+		}
+	})
+
 	t.Run("idle", func(t *testing.T) {
 		// Send Accept and one Data, then hold the conn open in silence:
 		// only the reactor's idle sweep can end these sessions.
@@ -274,6 +324,36 @@ func TestStageFailureAccounting(t *testing.T) {
 			t.Fatalf("idle sessions retired after %v, want within [%v, %v]", took, idle, idle+time.Second)
 		}
 	})
+}
+
+// TestBadArrivalRejected — a data message whose Arrival lies past its
+// SendStep (a slice sent before it arrived) is a bad slice, rejected
+// before it reaches the receive window: the claimed frame cannot size
+// the ring (2^20 frames would be tens of megabytes).
+func TestBadArrivalRejected(t *testing.T) {
+	eng := &Engine{cfg: Config{}, base: time.Now()}
+	sh := newShardCore(eng, 0)
+	s := &session{fd: -1, delay: 4, stepNanos: int64(time.Millisecond), start: time.Now()}
+	resetBenchSession(s, 4)
+	var msg bytes.Buffer
+	if err := netstream.WriteData(&msg, netstream.Data{
+		SliceID: 1, Arrival: 1 << 20, SendStep: 0, Size: 1, Weight: 1, Payload: []byte{1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := sh.feed(s, msg.Bytes(), 0)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("rejecting the message allocated %d bytes", grew)
+	}
+	if err != errBadSlice {
+		t.Fatalf("feed returned %v, want errBadSlice", err)
+	}
+	if f := s.win.MaxFrame(); f != -1 {
+		t.Fatalf("the window ingested frame %d", f)
+	}
 }
 
 // scrapeMetrics performs one GET /metrics against the generator's diag

@@ -22,7 +22,7 @@ const shardScratchSize = 256 << 10
 
 var (
 	errUnexpectedMsg = errors.New("loadgen: unexpected message mid-stream")
-	errBadSlice      = errors.New("loadgen: data message with invalid size or offset")
+	errBadSlice      = errors.New("loadgen: data message with invalid size, offset or arrival")
 	errIdleTimeout   = errors.New("loadgen: session idle timeout")
 	errEngineClosed  = errors.New("loadgen: engine is closed")
 )
@@ -124,7 +124,7 @@ func newShardCore(e *Engine, idx int) *shard {
 
 func newShard(e *Engine, idx int) (*shard, error) {
 	sh := newShardCore(e, idx)
-	if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive); err != nil {
+	if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive, 0); err != nil {
 		return nil, err
 	}
 	return sh, nil
@@ -340,6 +340,11 @@ func (sh *shard) onData(s *session, d *netstream.Data, now int64) error {
 		return errBadSlice
 	}
 	if int(d.Offset)+len(d.Payload) > int(d.Size) {
+		return errBadSlice
+	}
+	// A slice cannot be sent before it arrives; an Arrival past the send
+	// step would also size the receive window's ring to reach it.
+	if d.Arrival > d.SendStep {
 		return errBadSlice
 	}
 	ideal := int64(d.SendStep) * s.stepNanos

@@ -17,8 +17,10 @@ const (
 	// EvFirstWrite marks a session's first payload write (serve) or first
 	// decoded message (loadgen); the distance from EvAdmit is startup lag.
 	EvFirstWrite
-	// EvDeadlineExpiry marks a write missing its armed deadline — the
-	// slow-client signal that precedes eviction.
+	// EvDeadlineExpiry marks a session retired because its client fell
+	// behind its playout deadline: the oldest bytes it had not taken were
+	// more than D steps old, so the client would play past them (arg is
+	// the session's tick count).
 	EvDeadlineExpiry
 	// EvRetire marks a clean session exit (arg is steps completed).
 	EvRetire
@@ -34,6 +36,9 @@ const (
 	// EvBackendDrain marks a backend entering graceful drain (sess is the
 	// backend index; no session is involved).
 	EvBackendDrain
+	// EvStall marks a session whose socket filled: it waits for the
+	// client to drain it (arg is the session's tick count).
+	EvStall
 )
 
 var eventKindNames = [...]string{
@@ -46,6 +51,7 @@ var eventKindNames = [...]string{
 	EvPlace:          "place",
 	EvReplace:        "re-place",
 	EvBackendDrain:   "backend-drain",
+	EvStall:          "stall",
 }
 
 // String returns the event kind's wire name.

@@ -1,19 +1,21 @@
-// Package reactor is the shard core of the epoll engines: internal/lb
-// (splice relay) and internal/loadgen (client engine) each embed one Core
-// per shard and plug their session logic in as a Handler (DESIGN.md §5.6).
+// Package reactor is the shard core of the epoll engines: internal/serve
+// (paced cohort writes), internal/lb (splice relay) and internal/loadgen
+// (client engine) each embed one Core per shard and plug their session
+// logic in as a Handler (DESIGN.md §5.6).
 //
 // Every wake takes one engine-monotonic stamp right after epoll_wait
 // returns; admission, every ready event, the sweep and retirement in that
 // wake all read that one stamp, so the hot paths never read the wall
-// clock. The core requires Linux (epoll, splice): elsewhere Open fails,
-// so the engines' New fails fast.
+// clock. A core opened with a period also ticks (Ticker): each tick is
+// stamped as it starts. The core requires Linux (epoll, timerfd, splice):
+// elsewhere Open fails, so the engines' New fails fast.
 package reactor
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -78,6 +80,16 @@ type Handler[S Session] interface {
 	Abort(s S, now int64)
 }
 
+// Ticker is the optional fifth method of a Handler whose core was opened
+// with a period. Tick k is scheduled at start + k·period; a wake runs
+// every tick due by its stamp, back to back, so a stalled loop or host
+// catches up on the ticks it missed instead of shifting the schedule.
+// now is the tick's own stamp and late how far it started behind its
+// schedule (a full period or more means the tick was missed on time).
+type Ticker interface {
+	Tick(now, late int64)
+}
+
 // Core is one shard's reactor state. Open it, hand sessions over with
 // Enqueue from any goroutine, and run it with Run on its own goroutine.
 //
@@ -85,6 +97,13 @@ type Handler[S Session] interface {
 type Core[S Session] struct {
 	epfd   int
 	events []event
+
+	// The tick schedule: a timerfd in the epoll set wakes the loop each
+	// period; next is the stamp tick k is due at (start + k·period).
+	period int64
+	tfd    int
+	next   int64
+	tbuf   [8]byte // timerfd expiration count, read and discarded
 
 	// closing is the engine's close flag: Enqueue refuses sessions once
 	// it is set, and Run shuts down on the first wake that sees it.
@@ -106,11 +125,13 @@ type Core[S Session] struct {
 
 // Open creates the core's epoll set. closing and base are the engine's
 // close flag and monotonic origin; met and active are the shard's metric
-// row and the live-session gauge the core publishes each wake.
-func (c *Core[S]) Open(closing *atomic.Bool, base time.Time, met *obs.ShardMetrics, active obs.GaugeID) error {
+// row and the live-session gauge the core publishes each wake. A positive
+// period starts the tick schedule: the first tick is due one period after
+// Open, and Run calls the handler's Tick for each one.
+func (c *Core[S]) Open(closing *atomic.Bool, base time.Time, met *obs.ShardMetrics, active obs.GaugeID, period time.Duration) error {
+	c.epfd, c.tfd = -1, -1
 	epfd, err := epollCreate()
 	if err != nil {
-		c.epfd = -1
 		return fmt.Errorf("reactor: epoll_create: %w", err)
 	}
 	c.epfd = epfd
@@ -118,12 +139,30 @@ func (c *Core[S]) Open(closing *atomic.Bool, base time.Time, met *obs.ShardMetri
 	c.closing, c.base = closing, base
 	c.met, c.active = met, active
 	c.byFd = make([]S, initialFds)
+	if period > 0 {
+		// Stamp before arming: the timer's expiries then never precede
+		// the schedule the ticks are judged against.
+		c.period = int64(period)
+		c.next = c.Now() + c.period
+		if c.tfd, err = timerStart(c.period); err == nil {
+			err = epollCtl(c.epfd, opAdd, c.tfd, In)
+		}
+		if err != nil {
+			c.Close()
+			return fmt.Errorf("reactor: tick timer: %w", err)
+		}
+	}
 	return nil
 }
 
-// Close releases the epoll set. Run calls it at shutdown; an engine
-// calls it directly only on a core whose Run never started.
+// Close releases the epoll set and the tick timer. Run calls it at
+// shutdown; an engine calls it directly only on a core whose Run never
+// started.
 func (c *Core[S]) Close() {
+	if c.tfd >= 0 {
+		closeFd(c.tfd)
+		c.tfd = -1
+	}
 	if c.epfd >= 0 {
 		closeFd(c.epfd)
 		c.epfd = -1
@@ -142,13 +181,20 @@ func (c *Core[S]) Enqueue(s S) bool {
 	return true
 }
 
-// Run is the reactor loop: wait, stamp once, run the wake. It returns
-// after the first wake that sees the closing flag has aborted every live
-// and queued session and released the epoll set.
+// Run is the reactor loop: wait, stamp once, run the wake, run the ticks
+// due, publish. It returns after the first wake that sees the closing
+// flag has aborted every live and queued session and released the epoll
+// set. The handler is converted to a Ticker once, here.
 func (c *Core[S]) Run(h Handler[S]) {
+	tk, _ := h.(Ticker)
 	for {
 		n := epollWait(c.epfd, c.events, waitMs)
-		c.wake(h, n, c.clock())
+		now := c.Now()
+		c.wake(h, n, now)
+		if tk != nil {
+			c.tick(tk, now)
+		}
+		c.publish()
 		if c.closing.Load() {
 			c.shutdown(h)
 			return
@@ -156,27 +202,50 @@ func (c *Core[S]) Run(h Handler[S]) {
 	}
 }
 
-// clock returns nanoseconds since the engine's base on the monotonic
+// Now returns nanoseconds since the engine's base on the monotonic
 // clock.
-func (c *Core[S]) clock() int64 { return int64(time.Since(c.base)) }
+func (c *Core[S]) Now() int64 { return int64(time.Since(c.base)) }
 
 // wake runs one reactor wake against its stamp: admit queued sessions,
-// send each of the n ready events to its session, sweep a bounded chunk,
-// then publish the wake's metric state (one gauge store plus an
-// O(metrics) snapshot copy per wake, never per byte).
+// send each of the n ready events to its session, and sweep a bounded
+// chunk.
 //
 //smoothvet:noalloc
 func (c *Core[S]) wake(h Handler[S], n int, now int64) {
 	c.admit(h, now)
 	var zero S
 	for i := 0; i < n; i++ {
+		fd := int(c.events[i].Fd)
+		if fd == c.tfd {
+			// Only the wake matters: tick reads the clock, not the
+			// expiration count.
+			timerRead(fd, c.tbuf[:])
+			continue
+		}
 		// An fd whose session retired earlier in this wake is unrouted:
 		// its event is dropped.
-		if fd := int(c.events[i].Fd); fd < len(c.byFd) && c.byFd[fd] != zero {
+		if fd < len(c.byFd) && c.byFd[fd] != zero {
 			h.Ready(c.byFd[fd], fd, c.events[i].Events, now)
 		}
 	}
 	c.sweep(h, now)
+}
+
+// tick runs, back to back, every tick due by the wake stamp now. Ticks
+// that fall due while these run wait for the next wake, so admission,
+// ready events and the closing flag are never starved for longer than
+// the backlog this wake found.
+func (c *Core[S]) tick(t Ticker, now int64) {
+	for due := now; c.next <= due; c.next += c.period {
+		now = c.Now()
+		t.Tick(now, now-c.next)
+	}
+}
+
+// publish stores the shard's active-sessions gauge and publishes its
+// metric snapshot: one gauge store plus an O(metrics) copy per wake,
+// never per byte.
+func (c *Core[S]) publish() {
 	c.met.Set(c.active, uint64(len(c.sessions)))
 	c.met.Publish()
 }
@@ -196,13 +265,24 @@ func (c *Core[S]) admit(h Handler[S], now int64) {
 	var zero S
 	for i, s := range pend {
 		if h.Admit(s, now) {
-			s.link().pos = len(c.sessions)
-			c.sessions = append(c.sessions, s)
+			c.List(s)
 		}
 		pend[i] = zero
 	}
 	c.spare = pend[:0]
 }
+
+// List appends an admitted session to the live list. The core lists every
+// session Admit accepts; socket-free benchmarks list sessions directly.
+func (c *Core[S]) List(s S) {
+	s.link().pos = len(c.sessions)
+	c.sessions = append(c.sessions, s)
+}
+
+// Sessions returns the live list. Remove swaps the last session into the
+// removed one's slot, so a walk that retires sessions re-reads the list
+// and revisits that slot.
+func (c *Core[S]) Sessions() []S { return c.sessions }
 
 // sweep offers up to sweepChunk live sessions to Handler.Sweep, resuming
 // where the last wake stopped. When a session retires, the one swapped
@@ -225,7 +305,7 @@ func (c *Core[S]) sweep(h Handler[S], now int64) {
 // shutdown aborts every live session and then every queued one, each
 // exactly once, publishes an empty shard and releases the epoll set.
 func (c *Core[S]) shutdown(h Handler[S]) {
-	now := c.clock()
+	now := c.Now()
 	for i := len(c.sessions) - 1; i >= 0; i-- {
 		h.Abort(c.sessions[i], now)
 	}
@@ -236,8 +316,7 @@ func (c *Core[S]) shutdown(h Handler[S]) {
 	for _, s := range pend {
 		h.Abort(s, now)
 	}
-	c.met.Set(c.active, 0)
-	c.met.Publish()
+	c.publish()
 	c.Close()
 }
 
@@ -287,11 +366,12 @@ func (c *Core[S]) Del(fd int, s S) error {
 	return epollCtl(c.epfd, opDel, fd, 0)
 }
 
-// ConnFd extracts a TCP connection's fd for a reactor. The fd stays owned
-// by the net.Conn; the engines never read through the conn after the
-// handshake, so the runtime poller and the reactor never contend.
-func ConnFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
+// ConnFd extracts a socket connection's fd for a reactor. The fd stays
+// owned by the net.Conn; the engines never read or write through the conn
+// after the handshake, so the runtime poller and the reactor never
+// contend.
+func ConnFd(sc syscall.Conn) (int, error) {
+	rc, err := sc.SyscallConn()
 	if err != nil {
 		return 0, fmt.Errorf("reactor: raw conn: %w", err)
 	}

@@ -74,7 +74,7 @@ func newTestCore(t *testing.T) (*Core[*tsess], *atomic.Bool, *testHandler) {
 	reg := obs.Build(&b, 1)
 	closing := new(atomic.Bool)
 	c := new(Core[*tsess])
-	if err := c.Open(closing, time.Now(), reg.Shard(0), active); err != nil {
+	if err := c.Open(closing, time.Now(), reg.Shard(0), active, 0); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
@@ -330,5 +330,79 @@ func TestRunReturnsOnClose(t *testing.T) {
 	}
 	if h.aborts[ss[0]] != 1 {
 		t.Fatalf("session aborted %d times, want 1", h.aborts[ss[0]])
+	}
+}
+
+// tickHandler is a testHandler that also ticks, counting ticks and
+// keeping each tick's lateness.
+type tickHandler struct {
+	*testHandler
+	n     atomic.Int64
+	lates []int64
+}
+
+func (h *tickHandler) Tick(now, late int64) {
+	h.lates = append(h.lates, late)
+	h.n.Add(1)
+}
+
+// newTickCore opens a core with a tick period.
+func newTickCore(t *testing.T, period time.Duration) (*Core[*tsess], *atomic.Bool, *tickHandler) {
+	t.Helper()
+	c, closing, h := newTestCore(t)
+	c.Close()
+	if err := c.Open(closing, time.Now(), c.met, c.active, period); err != nil {
+		t.Fatal(err)
+	}
+	return c, closing, &tickHandler{testHandler: h}
+}
+
+// TestTickCatchesUp: a wake that finds several ticks due runs every one
+// of them, back to back, and the schedule advances by exactly as many
+// periods (catch-up, not shift).
+func TestTickCatchesUp(t *testing.T) {
+	c, _, h := newTickCore(t, time.Hour)
+	first := c.next
+	c.tick(h, first+4*c.period)
+	if got := h.n.Load(); got != 5 {
+		t.Fatalf("a wake with 5 ticks due ran %d", got)
+	}
+	if c.next != first+5*c.period {
+		t.Fatalf("schedule advanced %d periods, want 5", (c.next-first)/c.period)
+	}
+	c.tick(h, c.next-1)
+	if got := h.n.Load(); got != 5 {
+		t.Fatalf("a wake before the next tick is due ran %d more", got-5)
+	}
+}
+
+// TestTicksKeepRate drives the real loop at a sub-millisecond period:
+// whatever the wake jitter, the ticks run average the period's rate, and
+// none starts before its schedule.
+func TestTicksKeepRate(t *testing.T) {
+	const period = 200 * time.Microsecond
+	c, closing, h := newTickCore(t, period)
+	start := time.Now()
+	done := make(chan struct{})
+	//smoothvet:transfer the core belongs to the Run goroutine until done
+	go func() {
+		defer close(done)
+		c.Run(h)
+	}()
+	time.Sleep(200 * time.Millisecond)
+	before := time.Since(start)
+	closing.Store(true)
+	<-done
+	after := time.Since(start)
+	// Every tick due by the loop's last wake ran, and none due after it.
+	// That wake may have been stamped a little before the close: allow a
+	// 20ms stall there.
+	if n, lo, hi := h.n.Load(), int64((before-20*time.Millisecond)/period), int64(after/period)+1; n < lo || n > hi {
+		t.Fatalf("%d ticks in %v..%v at %v, want %d..%d", n, before, after, period, lo, hi)
+	}
+	for i, late := range h.lates {
+		if late < 0 {
+			t.Fatalf("tick %d ran %v before its schedule", i, time.Duration(-late))
+		}
 	}
 }

@@ -2,23 +2,25 @@ package serve
 
 import (
 	"fmt"
-	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/trace"
 )
 
-// benchNow is the fixed tick timestamp used when driving shards manually;
-// benchmarks never touch real connections, so the value is arbitrary.
-var benchNow = time.Unix(1, 0)
+// discardWrite is the shard's write seam for socket-free benchmarks: every
+// write is taken whole.
+func discardWrite(_ int, p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkEngineStepDensity is the sessions-per-core gate for the
 // serving path: one shard tick over K same-clip sessions served from one
-// shared precomputed schedule (struct-of-arrays rows, pre-encoded
-// flushes). It is pinned at 0 allocs/op in steady state by the benchdiff
-// gate; the sess-steps/s metric is sessions advanced per second on the one
-// core driving the shard.
+// shared precomputed schedule (a cohort pointer, tick count and byte
+// offset per session, pre-encoded flushes). The shard's write is the
+// discard seam, so the tick is measured without sockets. It is pinned at
+// 0 allocs/op in steady state by the benchdiff gate; the sess-steps/s
+// metric is sessions advanced per second on the one core driving the
+// shard.
 func BenchmarkEngineStepDensity(b *testing.B) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = 200
@@ -37,32 +39,35 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sh := eng.shards[0]
+			sh := newShard(eng, 0)
+			sh.write = discardWrite
 			c, _, err := eng.cohortFor(16)
 			if err != nil {
 				b.Fatal(err)
 			}
-			// prime registers a full load and runs the admission tick
-			// off the clock, so the timed region measures steady state.
+			// prime lists a full load and runs its first tick off the
+			// clock, so the timed region measures steady state.
+			pr := &peer{}
 			prime := func() {
 				for i := 0; i < sessions; i++ {
 					eng.active.Add(1)
 					eng.sessWG.Add(1)
-					sh.enqueue(cohortRow{cohort: c, w: io.Discard})
+					sh.List(&session{cohort: c, fd: -1, peer: pr})
 				}
-				sh.step(benchNow)
+				sh.step(0)
+				runtime.GC()
 			}
 			prime()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(sh.rows.cursors) == 0 {
+				if len(sh.Sessions()) == 0 {
 					// Every session drained to End: refill off the clock.
 					b.StopTimer()
 					prime()
 					b.StartTimer()
 				}
-				sh.step(benchNow)
+				sh.step(0)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sess-steps/s")

@@ -39,6 +39,9 @@ type Cohort struct {
 	// drops[i] is the total number of slices shed by the smoothing buffer
 	// through step i inclusive.
 	drops []int32
+	// delay is the negotiated D the plan was built for: a byte more than
+	// D steps late is past its playout deadline.
+	delay int32
 }
 
 // Steps returns the number of model steps a cohort session runs.
@@ -46,15 +49,6 @@ func (c *Cohort) Steps() int { return len(c.off) - 1 }
 
 // WireBytes returns the total size of the pre-encoded stream.
 func (c *Cohort) WireBytes() int { return len(c.wire) }
-
-// stepBytes returns the pre-encoded flush of one step. The result aliases
-// the cohort's immutable buffer; callers must not mutate it.
-//
-//smoothvet:aliased
-//smoothvet:noalloc
-func (c *Cohort) stepBytes(step int32) []byte {
-	return c.wire[c.off[step]:c.off[step+1]]
-}
 
 // droppedThrough returns the slices shed through the given number of
 // completed steps.
@@ -96,7 +90,7 @@ func (e *Engine) buildCohort(delay int) (*Cohort, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cohort{}
+	c := &Cohort{delay: int32(delay)}
 	horizon := e.mux.Horizon()
 	dropped := 0
 	for step := 0; ; step++ {

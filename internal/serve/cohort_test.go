@@ -56,11 +56,11 @@ func replaySender(t *testing.T, clip *trace.Clip, rate, delay int, policy drop.F
 	}
 }
 
-// captureSession runs one client over net.Pipe against eng.Handle: it
+// captureSession runs one client over loopback TCP against eng.Handle: it
 // sends Hello for the delay, checks the Accept, and returns every byte the
 // engine wrote after it, up to the close that ends the session.
-func captureSession(eng *Engine, delay int) ([]byte, error) {
-	server, client := net.Pipe()
+func captureSession(t *testing.T, eng *Engine, delay int) ([]byte, error) {
+	server, client := tcpPair(t)
 	defer client.Close()
 	handled := make(chan error, 1)
 	go func() { handled <- eng.Handle(server) }()
@@ -126,7 +126,7 @@ func TestCohortGoldenEquivalence(t *testing.T) {
 			}
 			for _, d := range []int{2, 8, 16} {
 				name := fmt.Sprintf("%s/rf=%.1f/D=%d", p.name, rateFactor, d)
-				got, err := captureSession(eng, d)
+				got, err := captureSession(t, eng, d)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -176,7 +176,7 @@ func TestCohortStepSlices(t *testing.T) {
 	var joined []byte
 	prev := 0
 	for s := int32(0); int(s) < c.Steps(); s++ {
-		joined = append(joined, c.stepBytes(s)...)
+		joined = append(joined, c.wire[c.off[s]:c.off[s+1]]...)
 		if d := c.droppedThrough(s + 1); d < prev {
 			t.Fatalf("drops not monotone at step %d: %d < %d", s, d, prev)
 		} else {
@@ -331,38 +331,5 @@ func TestDrainAdmitRace(t *testing.T) {
 	}
 	if eng.ActiveSessions() != 0 {
 		t.Fatalf("%d sessions still active after close", eng.ActiveSessions())
-	}
-}
-
-// armCountConn counts SetWriteDeadline calls; Write always succeeds.
-type armCountConn struct {
-	net.Conn
-	arms int
-}
-
-func (c *armCountConn) SetWriteDeadline(time.Time) error { c.arms++; return nil }
-func (c *armCountConn) Write(p []byte) (int, error)      { return len(p), nil }
-
-// TestDeadlineWriterArmsOncePerTick — the writer re-arms only when the
-// shard tick clock advances, not per flush.
-func TestDeadlineWriterArmsOncePerTick(t *testing.T) {
-	conn := &armCountConn{}
-	var clk tickClock
-	w := &deadlineWriter{c: conn, d: time.Second, clk: &clk}
-	clk.nanos.Store(100)
-	for i := 0; i < 3; i++ {
-		if _, err := w.Write([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if conn.arms != 1 {
-		t.Fatalf("3 writes in one tick armed %d deadlines, want 1", conn.arms)
-	}
-	clk.nanos.Store(200)
-	if _, err := w.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if conn.arms != 2 {
-		t.Fatalf("next tick armed %d deadlines total, want 2", conn.arms)
 	}
 }

@@ -1,12 +1,12 @@
 // Package serve is the sharded multi-session serving engine: the
 // production-shaped deployment of the paper's Fig. 1 system. Instead of one
-// goroutine and one time.Ticker per connection, the engine runs N shard
-// loops, each driven by a single clock that steps every session registered
-// on the shard. A session carries one clip, or K clips multiplexed through
-// one shared smoothing buffer (package mux's shared mode, on the wire).
-// Sessions are assigned to shards by connection hash, and all of a
-// session's per-step work happens on its shard goroutine, so sessions need
-// no locks of their own.
+// goroutine and one timer per connection, the engine runs N shards,
+// each a reactor core (internal/reactor) that ticks every StepDuration and
+// steps every session registered on the shard. A session carries one clip,
+// or K clips multiplexed through one shared smoothing buffer (package
+// mux's shared mode, on the wire). Sessions are assigned to shards by
+// connection hash, and all of a session's per-step work happens on its
+// shard goroutine, so sessions need no locks of their own.
 //
 // Per-session output is completely determined by the clips, the drop
 // policy and the negotiated (B, R, D): shard assignment only decides
@@ -17,11 +17,13 @@
 // The same purity makes serving compute-once-serve-many (cohort.go).
 // Negotiation always yields B = R·D, so the delay alone names a session's
 // schedule: every session at one delay shares one precomputed plan and one
-// pre-encoded byte stream, its hot state collapses to a cohort pointer and
-// a step cursor held in shard-owned parallel arrays, and a shard tick over
-// them is a contiguous walk that writes shared immutable buffers. There is
-// one serving path; the plan is proven byte-identical to a netstream.Sender
-// replay by golden test.
+// pre-encoded byte stream, and its hot state collapses to a cohort pointer,
+// a tick count and a byte offset into that stream. A tick writes what each
+// session owes without blocking; a session whose socket is full parks on
+// writability and is retired once its oldest unsent bytes are more than D
+// steps old — the client would play past them, so they are lost. There is
+// one serving path; the plan is proven byte-identical to a
+// netstream.Sender replay by golden test.
 package serve
 
 import (
@@ -30,14 +32,17 @@ import (
 	"hash/maphash"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/drop"
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -81,10 +86,6 @@ type SessionStats struct {
 	Elapsed time.Duration
 }
 
-// writeTimeout bounds each batched wire flush so one dead client cannot
-// stall its shard forever.
-const writeTimeout = 30 * time.Second
-
 // Engine serves its clips to many concurrent sessions over shard loops.
 type Engine struct {
 	cfg Config
@@ -93,17 +94,18 @@ type Engine struct {
 	shards  []*shard
 	seed    maphash.Seed
 	cohorts []cohortEntry // indexed by negotiated delay, 1..MaxDelay
+	base    time.Time     // monotonic origin of the shards' stamps
 
 	met     *engineMetrics
 	recs    []*obs.FlightRecorder
 	sessSeq atomic.Uint64 // flight-recorder session ids, assigned at Handle
 
-	active  atomic.Int64
-	served  atomic.Int64
-	closing atomic.Bool
-	sessWG  sync.WaitGroup // live sessions
-	loopWG  sync.WaitGroup // shard loops
-	stop    sync.Once
+	active   atomic.Int64
+	served   atomic.Int64
+	draining atomic.Bool    // Handle refuses sessions (Drain or Close began)
+	closing  atomic.Bool    // the shard cores shut down (Close began)
+	sessWG   sync.WaitGroup // live sessions
+	loopWG   sync.WaitGroup // shard loops
 }
 
 // New builds an engine for the clip and starts its shard loops.
@@ -121,15 +123,23 @@ func NewMux(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	if err != nil {
 		return nil, err
 	}
+	for i, sh := range e.shards {
+		if err := sh.Open(&e.closing, e.base, sh.met, e.met.gActive, e.cfg.StepDuration); err != nil {
+			for _, prev := range e.shards[:i] {
+				prev.Close()
+			}
+			return nil, err
+		}
+	}
 	for _, sh := range e.shards {
 		e.loopWG.Add(1)
-		//smoothvet:transfer ownership of the shard moves to its loop goroutine
+		//smoothvet:transfer ownership of the shard moves to its reactor goroutine
 		go sh.run()
 	}
 	return e, nil
 }
 
-// newEngine builds the engine without starting the shard clocks; tests and
+// newEngine builds the engine without opening the shard cores; tests and
 // benchmarks drive the shards manually via shard.step.
 func newEngine(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
 	if cfg.Rate <= 0 {
@@ -158,14 +168,14 @@ func newEngine(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := &Engine{cfg: cfg, mux: mux, seed: maphash.MakeSeed()}
+	e := &Engine{cfg: cfg, mux: mux, seed: maphash.MakeSeed(), base: time.Now()}
 	e.cohorts = make([]cohortEntry, cfg.MaxDelay+1)
 	e.met = newEngineMetrics(e, cfg.Shards, cfg.Instrument)
 	e.recs = make([]*obs.FlightRecorder, cfg.Shards)
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.recs[i] = obs.NewFlightRecorder(0)
-		e.shards[i] = &shard{eng: e, quit: make(chan struct{}), met: e.met.reg.Shard(i), rec: e.recs[i]}
+		e.shards[i] = newShard(e, i)
 	}
 	return e, nil
 }
@@ -185,12 +195,12 @@ func (e *Engine) ServedSessions() int { return int(e.served.Load()) }
 
 // Handle performs the netstream handshake on the caller's goroutine (the
 // Hello read blocks), registers the session on a shard chosen by connection
-// hash, and returns; the shard clock drives the session to completion and
+// hash, and returns; the shard drives the session to completion and
 // closes the connection. On rejection (engine draining, session limit, bad
 // handshake, unbuildable plan) the connection is closed and an error
 // returned.
 func (e *Engine) Handle(conn net.Conn) error {
-	if e.closing.Load() {
+	if e.draining.Load() {
 		return e.reject(conn, errDraining)
 	}
 	// The slot is reserved before the blocking Hello read, so concurrent
@@ -198,13 +208,16 @@ func (e *Engine) Handle(conn net.Conn) error {
 	if !e.reserve() {
 		return e.reject(conn, fmt.Errorf("serve: session limit %d reached", e.cfg.MaxSessions))
 	}
-	sh, row, err := e.handshake(conn)
+	sh, s, err := e.handshake(conn)
 	if err == nil {
 		e.sessWG.Add(1)
-		if sh.enqueue(row) {
+		if sh.Enqueue(s) {
 			return nil
 		}
 		e.sessWG.Done()
+		if s.shim {
+			_ = syscall.Close(int(s.fd))
+		}
 		err = errDraining
 	}
 	e.active.Add(-1)
@@ -233,15 +246,15 @@ func (e *Engine) reject(conn net.Conn, err error) error {
 }
 
 // handshake reads the client's Hello, answers with the negotiated Accept
-// and resolves the session's cohort plan. It returns the row to register
-// and the shard that owns it.
-func (e *Engine) handshake(conn net.Conn) (*shard, cohortRow, error) {
+// and resolves the session's cohort plan and socket. It returns the
+// session to register and the shard that owns it.
+func (e *Engine) handshake(conn net.Conn) (*shard, *session, error) {
 	msg, err := netstream.ReadMsg(conn)
 	if err != nil {
-		return nil, cohortRow{}, fmt.Errorf("serve: reading hello: %w", err)
+		return nil, nil, fmt.Errorf("serve: reading hello: %w", err)
 	}
 	if msg.Hello == nil {
-		return nil, cohortRow{}, fmt.Errorf("serve: expected hello, got %+v", msg)
+		return nil, nil, fmt.Errorf("serve: expected hello, got %+v", msg)
 	}
 	delay, buffer := netstream.NegotiateSession(*msg.Hello, e.cfg.Rate, e.cfg.MaxDelay)
 	if err := netstream.WriteAccept(conn, netstream.Accept{
@@ -250,25 +263,50 @@ func (e *Engine) handshake(conn net.Conn) (*shard, cohortRow, error) {
 		ServerBuffer: uint32(buffer),
 		StepMicros:   uint32(e.cfg.StepDuration / time.Microsecond),
 	}); err != nil {
-		return nil, cohortRow{}, fmt.Errorf("serve: writing accept: %w", err)
+		return nil, nil, fmt.Errorf("serve: writing accept: %w", err)
 	}
 	c, built, err := e.cohortFor(delay)
 	if err != nil {
-		return nil, cohortRow{}, fmt.Errorf("serve: building the plan for delay %d: %w", delay, err)
+		return nil, nil, fmt.Errorf("serve: building the plan for delay %d: %w", delay, err)
 	}
 	if built {
 		e.met.reg.GlobalInc(e.met.cCohortMiss)
 	} else {
 		e.met.reg.GlobalInc(e.met.cCohortHits)
 	}
+	fd, shim, err := sessionFd(conn)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: session socket: %w", err)
+	}
 	remote := conn.RemoteAddr().String()
-	sh := e.shards[e.shardOf(remote)]
-	// The deadline writer arms against the shard's tick clock, so the
-	// shard must be fixed before the writer is built.
-	w := &deadlineWriter{c: conn, d: writeTimeout, clk: &sh.clk}
-	return sh, cohortRow{
-		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
-	}, nil
+	return e.shards[e.shardOf(remote)], &session{cohort: c, fd: int32(fd), peer: &peer{
+		conn: conn, shim: shim, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
+	}}, nil
+}
+
+// sessionFd returns the socket fd the shard writes a session to. A conn
+// without a socket fd of its own (net.Pipe, a wrapping conn) gets one end
+// of a unix socketpair, and a goroutine copies the other end into conn:
+// the shard then writes, parks and retires it exactly like a socket.
+// Closing the shard's end lets the copier drain the rest into conn and
+// close it. A conn that neither reads nor closes holds its copier until
+// the engine fails the session and closes the conn too.
+func sessionFd(conn net.Conn) (fd int, shim bool, err error) {
+	if sc, ok := conn.(syscall.Conn); ok {
+		fd, err := reactor.ConnFd(sc)
+		return fd, false, err
+	}
+	fd, peer, err := reactor.SocketPair()
+	if err != nil {
+		return -1, false, err
+	}
+	f := os.NewFile(uintptr(peer), "serve-shim")
+	go func() {
+		_, _ = io.Copy(conn, f)
+		_ = f.Close()
+		_ = conn.Close()
+	}()
+	return fd, true, nil
 }
 
 // shardOf picks the shard for a connection by hashing its remote address.
@@ -282,7 +320,7 @@ func (e *Engine) shardOf(remote string) int {
 // Drain stops admitting sessions and waits up to timeout for the in-flight
 // ones to finish their streams. It reports whether everything completed.
 func (e *Engine) Drain(timeout time.Duration) bool {
-	e.closing.Store(true)
+	e.draining.Store(true)
 	done := make(chan struct{})
 	go func() { e.sessWG.Wait(); close(done) }()
 	select {
@@ -297,269 +335,272 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 // connection is closed mid-stream). Safe to call after Drain and more than
 // once.
 func (e *Engine) Close() {
+	e.draining.Store(true)
 	e.closing.Store(true)
-	e.stop.Do(func() {
-		for _, sh := range e.shards {
-			close(sh.quit)
-		}
-	})
 	e.loopWG.Wait()
 }
 
-// errAborted reports a session cut off by Close before its stream drained.
-var errAborted = fmt.Errorf("serve: engine closed mid-stream")
-
-// errDraining rejects a connection offered after Drain or Close began.
-var errDraining = errors.New("serve: engine is draining")
+var (
+	// errAborted reports a session cut off by Close before its stream
+	// drained.
+	errAborted = errors.New("serve: engine closed mid-stream")
+	// errDraining rejects a connection offered after Drain or Close began.
+	errDraining = errors.New("serve: engine is draining")
+	// errLate retires a session whose client fell behind its playout
+	// deadline: its oldest unsent bytes are more than D steps old.
+	errLate = errors.New("serve: client fell behind its playout deadline")
+	// errHangup retires a session whose socket reported an error or
+	// hangup.
+	errHangup = errors.New("serve: client connection closed or reset")
+)
 
 // ---------------------------------------------------------------------------
 // Shards.
 // ---------------------------------------------------------------------------
 
-// tickClock publishes a shard's current tick timestamp (UnixNano) to the
-// deadline writers of its sessions, so arming a write deadline costs an
-// atomic load instead of a time.Now call per session per flush.
-type tickClock struct {
-	nanos atomic.Int64
+// session is one client's state between ticks: the shared plan, the
+// number of steps released and the byte offset written, in a small
+// object, so a tick over a dense shard streams through little memory. The
+// cold state sits behind the embedded *peer.
+type session struct {
+	cohort *Cohort
+	tick   int32 // ticks since admission: steps 0..tick-1 are owed
+	sent   int32 // bytes of cohort.wire written to the socket
+	fd     int32
+	parked bool // socket full: waiting on one-shot writability
+	reactor.Link
+	*peer
 }
 
-// cohortRow is the registration-time state of one session.
-// Its hot fields (cohort pointer, cursor) move into the shard's parallel
-// arrays on admit; the rest stays in the cold array, touched only at
-// retirement.
-type cohortRow struct {
-	cohort *Cohort
-	conn   net.Conn // nil in tests/benchmarks that drive a bare writer
-	w      io.Writer
+// peer is a session's cold state, read at admission, first write and
+// retirement only.
+type peer struct {
+	conn   net.Conn // nil in benchmarks that drive the shard without sockets
+	shim   bool     // fd is a socketpair end the session owns (see sessionFd)
 	remote string
 	start  time.Time
 	id     uint64 // flight-recorder session id
 }
 
-// cohortRows is the shard-owned struct-of-arrays state of the shard's
-// sessions. A shard tick walks cursors/cohorts contiguously — no
-// per-session pointer chase — and retires finished rows by swap-remove.
-// The three slices are parallel: row i is (cohorts[i], cursors[i],
-// cold[i]).
-type cohortRows struct {
-	cohorts []*Cohort
-	cursors []int32
-	cold    []cohortRow
-}
-
-// shard owns a set of sessions and the single clock that steps them. Only
-// the registration queue is shared (guarded by mu); everything else runs on
-// the shard goroutine.
+// shard owns a set of sessions: a reactor core ticking every StepDuration
+// and one flight ring. The core drives it through the reactor.Handler and
+// reactor.Ticker methods below.
 //
-//smoothvet:confined owned by the shard loop goroutine after New hands it off
+//smoothvet:confined owned by the reactor goroutine after NewMux hands it off
 type shard struct {
-	eng  *Engine
-	quit chan struct{} //smoothvet:shared closed by Engine.Close to stop the loop
+	reactor.Core[*session]
+	eng *Engine
 
-	clk tickClock
-
-	//smoothvet:shared registration queue, guarded by mu
-	mu sync.Mutex
-	//smoothvet:shared set under mu; checked by enqueue from acceptor goroutines
-	draining bool
-	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []cohortRow
-
-	rows cohortRows // registered sessions, struct-of-arrays
+	// write is one non-blocking write(2) to a session's fd (writeFd);
+	// socket-free benchmarks swap in a discard.
+	write func(fd int, p []byte) (int, error)
 
 	// met and rec are this shard's obs slots and flight ring: recorded
-	// into only by the shard goroutine, read elsewhere only through their
-	// published snapshots.
+	// into only by the reactor goroutine, read elsewhere only through
+	// their published snapshots.
 	met *obs.ShardMetrics
 	rec *obs.FlightRecorder
 }
 
-// enqueue hands a freshly handshaken session to the shard loop. It reports
-// false if the shard has already shut down.
-func (sh *shard) enqueue(r cohortRow) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.draining {
+// newShard builds shard idx without opening its core; NewMux opens it.
+func newShard(e *Engine, idx int) *shard {
+	return &shard{eng: e, write: writeFd, met: e.met.reg.Shard(idx), rec: e.recs[idx]}
+}
+
+// writeFd writes p to a non-blocking fd once, retrying only EINTR. It
+// reports no negative counts: a failed write wrote 0 bytes.
+func writeFd(fd int, p []byte) (int, error) {
+	for {
+		n, err := syscall.Write(fd, p)
+		if err != syscall.EINTR {
+			return max(n, 0), err
+		}
+	}
+}
+
+// run converts the shard to its reactor handler once and runs the core.
+func (sh *shard) run() {
+	defer sh.eng.loopWG.Done()
+	sh.Run(sh)
+}
+
+// Admit routes a handshaken session's socket. It asks for no events: a
+// tick writes the session unasked, and epoll reports errors and hangups
+// regardless. Writability is requested only while parked.
+func (sh *shard) Admit(s *session, now int64) bool {
+	if err := sh.Add(int(s.fd), s, 0); err != nil {
+		sh.retire(s, err, now)
 		return false
 	}
-	sh.incoming = append(sh.incoming, r)
+	sh.met.Inc(sh.eng.met.cAdmitted)
+	sh.rec.Record(now, obs.EvAdmit, s.id, 0)
+	sh.rec.Record(now, obs.EvCohortAssign, s.id, int64(s.cohort.Steps()))
 	return true
 }
 
-// run is the shard loop: one ticker, one step for every session per tick.
-func (sh *shard) run() {
-	defer sh.eng.loopWG.Done()
-	tk := time.NewTicker(sh.eng.cfg.StepDuration)
-	defer tk.Stop()
-	for {
-		select {
-		case <-sh.quit:
-			sh.shutdown()
-			return
-		case now := <-tk.C:
-			sh.step(now)
-			// Step duration and snapshot publication happen outside the
-			// noalloc step path: one wall-clock read and one O(metrics)
-			// copy per tick, never per session.
-			sh.met.Observe(sh.eng.met.hStepDur, time.Since(now).Microseconds())
-			sh.met.Publish()
+// Ready resumes a parked session whose socket drained, or retires one
+// whose socket failed.
+func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
+	if events&(reactor.Err|reactor.Hup) != 0 {
+		sh.retire(s, errHangup, now)
+		return
+	}
+	s.parked = false
+	p := s.owed()
+	n, err := sh.write(fd, p)
+	s.sent += int32(n)
+	_ = sh.settle(s, n < len(p), err, now)
+}
+
+// Sweep has nothing to time out: lateness is judged on every tick.
+func (sh *shard) Sweep(*session, int64) {}
+
+// Abort fails a live or queued session at engine close.
+func (sh *shard) Abort(s *session, now int64) { sh.retire(s, errAborted, now) }
+
+// Tick runs one model step of every session (reactor.Ticker). A tick
+// that starts a full step or more behind schedule counts as missed; it
+// still runs, so sessions keep pace with the schedule (catch-up). The
+// step duration is timed outside the noalloc step path: one clock read
+// per tick, never per session.
+func (sh *shard) Tick(now, late int64) {
+	m := sh.eng.met
+	sh.met.Observe(m.hTickLate, late/int64(time.Microsecond))
+	if late >= int64(sh.eng.cfg.StepDuration) {
+		sh.met.Inc(m.cMissedTicks)
+	}
+	sh.step(now)
+	sh.met.Observe(m.hStepDur, (sh.Now()-now)/int64(time.Microsecond))
+}
+
+// step advances every session on the shard by one model step: each one
+// is owed one more step of its plan. A session that is not parked writes
+// what it owes without blocking; a parked one only ages (see overdue). A
+// retirement swaps the list's last session into the freed slot, which is
+// processed next, so every session advances exactly once per tick. The
+// common case — a whole write short of End — costs one call, the write.
+//
+//smoothvet:deterministic
+//smoothvet:noalloc
+func (sh *shard) step(now int64) {
+	live := sh.Sessions()
+	for i := 0; i < len(live); {
+		s := live[i]
+		if s.tick == 0 {
+			sh.rec.Record(now, obs.EvFirstWrite, s.id, 0)
+		}
+		s.tick++
+		ok := true
+		if !s.parked {
+			p := s.owed()
+			n, err := 0, error(nil)
+			if len(p) > 0 {
+				n, err = sh.write(int(s.fd), p)
+				s.sent += int32(n)
+			}
+			// A whole write short of End needs nothing more.
+			ok = n == len(p) && err == nil && int(s.sent) < len(s.cohort.wire) ||
+				sh.settle(s, n < len(p), err, now)
+		} else if s.overdue() {
+			sh.retire(s, errLate, now)
+			ok = false
+		}
+		if ok {
+			i++
+		} else {
+			live = sh.Sessions()
 		}
 	}
 }
 
-// admit moves newly registered sessions onto the shard goroutine.
-func (sh *shard) admit() {
-	sh.mu.Lock()
-	inc := sh.incoming
-	sh.incoming = nil
-	sh.mu.Unlock()
-	now := sh.clk.nanos.Load()
-	for i := range inc {
-		sh.met.Inc(sh.eng.met.cAdmitted)
-		sh.rec.Record(now, obs.EvAdmit, inc[i].id, 0)
-		sh.rec.Record(now, obs.EvCohortAssign, inc[i].id, int64(inc[i].cohort.Steps()))
-		sh.addRow(inc[i])
-	}
-}
-
-// addRow appends one session to the shard's parallel arrays at cursor 0.
-func (sh *shard) addRow(r cohortRow) {
-	sh.rows.cohorts = append(sh.rows.cohorts, r.cohort)
-	sh.rows.cursors = append(sh.rows.cursors, 0)
-	sh.rows.cold = append(sh.rows.cold, r)
-}
-
-// step advances every session on the shard by one model step, retiring the
-// ones that finished or failed. now is the tick timestamp; it is published
-// once to the shard's deadline writers, so a tick arms at most one write
-// deadline per connection no matter how many flushes it performs.
+// owed returns the bytes s owes: its plan's wire from sent to the end of
+// its last released step. The result aliases the cohort's immutable
+// buffer; callers must not mutate it.
 //
-//smoothvet:deterministic
+//smoothvet:aliased
 //smoothvet:noalloc
-func (sh *shard) step(now time.Time) {
-	sh.clk.nanos.Store(now.UnixNano())
-	sh.admit()
-	sh.stepRows()
-	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.rows.cursors)))
+func (s *session) owed() []byte {
+	c := s.cohort
+	return c.wire[s.sent:c.off[min(s.tick, int32(c.Steps()))]]
 }
 
-// stepRows advances the cohort rows one model step: a contiguous walk over
-// the parallel arrays, flushing each phase group — the run of sessions on
-// the same cohort at the same cursor — from one shared pre-encoded buffer.
-// Retirement is swap-remove: the last unprocessed row takes the freed slot
-// and is processed in place, so every row advances exactly once per tick.
+// overdue reports whether a parked session's oldest unsent byte belongs
+// to a step more than D steps back: the client plays that step's data by
+// now, and late data is lost.
 //
-//smoothvet:deterministic
 //smoothvet:noalloc
-func (sh *shard) stepRows() {
-	rows := &sh.rows
-	i := 0
-	for i < len(rows.cursors) {
-		c := rows.cohorts[i]
-		cur := rows.cursors[i]
-		buf := c.stepBytes(cur)
-		last := int(cur)+1 == c.Steps()
-		// One shared buffer serves the whole phase group [i, j).
-		j := i
-		for j < len(rows.cursors) && rows.cohorts[j] == c && rows.cursors[j] == cur {
-			if cur == 0 {
-				sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, rows.cold[j].id, 0)
-			}
-			var err error
-			if len(buf) > 0 {
-				_, err = rows.cold[j].w.Write(buf)
-			}
-			if err != nil || last {
-				sh.retireRow(j, cur, err)
-				continue // the swapped-in row is processed at j
-			}
-			rows.cursors[j] = cur + 1
-			j++
+func (s *session) overdue() bool {
+	c := s.cohort
+	old := s.tick - 1 - c.delay
+	return old > 0 && s.sent < c.off[min(old, int32(c.Steps()))]
+}
+
+// settle finishes a write of the owed bytes (short reports a partial
+// one): a failure retires s, a short write parks it on one-shot
+// writability (Ready resumes it from its offset; no bytes are copied),
+// and a session that has written its whole wire, End included, retires
+// cleanly. It reports whether s is still live.
+//
+//smoothvet:noalloc
+func (sh *shard) settle(s *session, short bool, err error, now int64) bool {
+	if err != nil {
+		if en, ok := err.(syscall.Errno); !ok || en != syscall.EAGAIN {
+			sh.retire(s, err, now)
+			return false
 		}
-		i = j
 	}
+	if short {
+		return sh.park(s, now)
+	}
+	if int(s.sent) == len(s.cohort.wire) {
+		sh.retire(s, nil, now)
+		return false
+	}
+	return true
 }
 
-// retireRow finishes the cohort session in slot j (err nil = clean drain
-// to End) and swap-removes its row. It sits on the noalloc tick path, so
-// Elapsed is derived from the shard's tick clock — stamped once per tick
-// (and once by shutdown) — instead of re-reading the wall clock per
-// retirement.
-func (sh *shard) retireRow(j int, cur int32, err error) {
-	rows := &sh.rows
-	cold := &rows.cold[j]
-	steps := int(cur)
-	dropped := rows.cohorts[j].droppedThrough(cur)
-	if err == nil {
-		// Clean finish: the final step completed.
-		steps = int(cur) + 1
-		dropped = rows.cohorts[j].droppedThrough(cur + 1)
+// park waits for a full socket to drain: one-shot writability, delivered
+// to Ready. It reports whether s is still live.
+func (sh *shard) park(s *session, now int64) bool {
+	if err := sh.Mod(int(s.fd), reactor.Out|reactor.OneShot); err != nil {
+		sh.retire(s, err, now)
+		return false
 	}
-	if cold.conn != nil {
-		_ = cold.conn.Close()
+	s.parked = true
+	sh.rec.Record(now, obs.EvStall, s.id, int64(s.tick))
+	return true
+}
+
+// retire finishes s (err nil = clean drain to End): it unroutes and
+// closes the socket, records the end and reports it to OnSessionDone. It
+// sits downstream of the noalloc tick path, so Elapsed is derived from
+// the stamp now instead of re-reading the wall clock.
+func (sh *shard) retire(s *session, err error, now int64) {
+	if s.fd >= 0 {
+		_ = sh.Del(int(s.fd), s)
 	}
-	sh.noteSessionEnd(cold.id, steps, err)
+	sh.Remove(s)
+	switch {
+	case s.shim:
+		_ = syscall.Close(int(s.fd))
+		if err != nil {
+			_ = s.conn.Close() // the client gets nothing past a failure
+		}
+	case s.conn != nil:
+		_ = s.conn.Close()
+	}
+	steps := int(min(s.tick, int32(s.cohort.Steps())))
+	sh.noteSessionEnd(s, steps, err, now)
 	e := sh.eng
 	e.active.Add(-1)
 	e.served.Add(1)
 	e.sessWG.Done()
 	if e.cfg.OnSessionDone != nil {
 		e.cfg.OnSessionDone(SessionStats{
-			Remote:  cold.remote,
+			Remote:  s.remote,
 			Steps:   steps,
-			Dropped: dropped,
-			Elapsed: time.Unix(0, sh.clk.nanos.Load()).Sub(cold.start),
+			Dropped: s.cohort.droppedThrough(int32(steps)),
+			Elapsed: e.base.Add(time.Duration(now)).Sub(s.start),
 		}, err)
 	}
-	n := len(rows.cursors) - 1
-	rows.cohorts[j] = rows.cohorts[n]
-	rows.cursors[j] = rows.cursors[n]
-	rows.cold[j] = rows.cold[n]
-	rows.cohorts[n] = nil
-	rows.cold[n] = cohortRow{}
-	rows.cohorts = rows.cohorts[:n]
-	rows.cursors = rows.cursors[:n]
-	rows.cold = rows.cold[:n]
-}
-
-// shutdown aborts every session still registered on the shard.
-func (sh *shard) shutdown() {
-	// Re-stamp the tick clock so retirements during drain report an
-	// Elapsed that covers the time since the last tick.
-	sh.clk.nanos.Store(time.Now().UnixNano())
-	sh.mu.Lock()
-	sh.draining = true
-	inc := sh.incoming
-	sh.incoming = nil
-	sh.mu.Unlock()
-	for i := range inc {
-		sh.addRow(inc[i])
-	}
-	for n := len(sh.rows.cursors); n > 0; n = len(sh.rows.cursors) {
-		sh.retireRow(n-1, sh.rows.cursors[n-1], errAborted)
-	}
-	sh.met.Set(sh.eng.met.gActive, 0)
-	sh.met.Publish()
-}
-
-// deadlineWriter arms a write deadline before flushing so a stalled client
-// errors out instead of blocking its whole shard. The deadline is derived
-// from the shard's tick clock — stamped once per tick — and armed at most
-// once per tick per connection, so a session flush costs neither a
-// time.Now call nor a redundant SetWriteDeadline.
-type deadlineWriter struct {
-	c     net.Conn
-	d     time.Duration
-	clk   *tickClock
-	armed int64 // tick stamp the current deadline was armed at
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if now := w.clk.nanos.Load(); now != w.armed {
-		if err := w.c.SetWriteDeadline(time.Unix(0, now).Add(w.d)); err != nil {
-			return 0, err
-		}
-		w.armed = now
-	}
-	return w.c.Write(p)
 }

@@ -26,6 +26,26 @@ func testClip(t testing.TB, frames int) *trace.Clip {
 	return clip
 }
 
+// tcpPair returns both ends of one loopback TCP connection: the engine's
+// socket path.
+func tcpPair(t testing.TB) (server, client net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err = ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return server, client
+}
+
 // clientResult is what one load-generating client observed.
 type clientResult struct {
 	stats  netstream.PlayStats
@@ -45,8 +65,8 @@ func runClient(conn net.Conn, delay int) (clientResult, error) {
 	return res, err
 }
 
-// runEngine serves `clients` concurrent sessions from an engine with the
-// given shard count and returns each client's result.
+// runEngine serves `clients` concurrent sessions over loopback TCP from an
+// engine with the given shard count and returns each client's result.
 func runEngine(t *testing.T, clip *trace.Clip, shards, clients int) []clientResult {
 	t.Helper()
 	eng, err := New(clip, trace.PaperWeights(), Config{
@@ -64,7 +84,7 @@ func runEngine(t *testing.T, clip *trace.Clip, shards, clients int) []clientResu
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
-		server, client := net.Pipe()
+		server, client := tcpPair(t)
 		wg.Add(1)
 		go func(i int, c net.Conn) {
 			defer wg.Done()

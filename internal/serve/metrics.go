@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"errors"
-	"os"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // engineMetrics bundles the engine's obs registry with the slot IDs its
 // shards record through. Registration order fixes the /metrics output
@@ -27,6 +22,10 @@ type engineMetrics struct {
 	// Gauges and distributions.
 	gActive  obs.GaugeID
 	hStepDur obs.HistID
+
+	// Tick schedule.
+	hTickLate    obs.HistID
+	cMissedTicks obs.CounterID
 }
 
 // newEngineMetrics registers the serving engine's metric set (plus any
@@ -36,19 +35,21 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 	m := &engineMetrics{}
 	m.cAdmitted = b.Counter("serve_sessions_admitted_total", "Sessions registered on a shard after handshake.")
 	m.cRetired = b.Counter("serve_sessions_retired_total", "Sessions that drained cleanly to End.")
-	m.cFailed = b.Counter("serve_sessions_failed_total", "Sessions that ended with an error (write failure, abort).")
-	m.cDeadlineExpiry = b.Counter("serve_write_deadline_expiries_total", "Session failures whose write missed its armed deadline (slow client).")
+	m.cFailed = b.Counter("serve_sessions_failed_total", "Sessions that ended with an error (write failure, hangup, late client, abort).")
+	m.cDeadlineExpiry = b.Counter("serve_write_deadline_expiries_total", "Sessions retired because the client fell behind its playout deadline: bytes it had not taken were more than D steps old.")
 	m.cRejected = b.Counter("serve_sessions_rejected_total", "Connections refused before registration (draining, session limit, bad handshake).")
 	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes that reused the cached plan for their delay.")
 	m.cCohortMiss = b.Counter("serve_cohort_misses_total", "Handshakes that built the plan for their delay.")
 	m.gActive = b.Gauge("serve_sessions_active", "Sessions currently registered, summed across shards.")
 	m.hStepDur = b.Histogram("serve_step_duration_us", "Wall-clock duration of one shard tick (all sessions stepped), microseconds.")
 	b.Func("serve_draining", "1 while the engine refuses new sessions (Drain/Close in progress).", func() int64 {
-		if e.closing.Load() {
+		if e.draining.Load() {
 			return 1
 		}
 		return 0
 	})
+	m.hTickLate = b.Histogram("serve_tick_lateness_us", "How far each shard tick started behind its schedule start + k·StepDuration, microseconds.")
+	m.cMissedTicks = b.Counter("serve_missed_ticks_total", "Shard ticks that started a full step or more behind schedule; each still runs (catch-up).")
 	if extra != nil {
 		extra(&b)
 	}
@@ -57,25 +58,24 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 }
 
 // noteSessionEnd records one session retirement into the shard's slots
-// and flight ring: counters, the deadline-expiry classifier, and the
+// and flight ring: counters, the playout-deadline classifier, and the
 // retire/error lifecycle event. Runs on the shard goroutine, downstream
-// of the noalloc step path — the tick stamp comes from the shard clock.
+// of the noalloc step path, with the caller's stamp.
 //
 //smoothvet:noalloc
-func (sh *shard) noteSessionEnd(id uint64, steps int, err error) {
-	now := sh.clk.nanos.Load()
+func (sh *shard) noteSessionEnd(s *session, steps int, err error, now int64) {
 	m := sh.eng.met
 	if err == nil {
 		sh.met.Inc(m.cRetired)
-		sh.rec.Record(now, obs.EvRetire, id, int64(steps))
+		sh.rec.Record(now, obs.EvRetire, s.id, int64(steps))
 		return
 	}
 	sh.met.Inc(m.cFailed)
-	if errors.Is(err, os.ErrDeadlineExceeded) {
+	if err == errLate {
 		sh.met.Inc(m.cDeadlineExpiry)
-		sh.rec.Record(now, obs.EvDeadlineExpiry, id, int64(steps))
+		sh.rec.Record(now, obs.EvDeadlineExpiry, s.id, int64(s.tick))
 	}
-	sh.rec.Record(now, obs.EvError, id, int64(steps))
+	sh.rec.Record(now, obs.EvError, s.id, int64(steps))
 }
 
 // Obs returns the engine's metric registry for diag endpoints and tests.

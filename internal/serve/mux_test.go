@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"net"
 	"testing"
 	"time"
 
@@ -36,12 +35,12 @@ type streamStats struct {
 	weight        float64
 }
 
-// receiveMux runs one client of k substreams over net.Pipe against
+// receiveMux runs one client of k substreams over loopback TCP against
 // eng.Handle and returns the session stats with the per-substream split
 // read off the play events.
 func receiveMux(t *testing.T, eng *Engine, clientBuffer, delay, k int) (netstream.PlayStats, []streamStats) {
 	t.Helper()
-	server, client := net.Pipe()
+	server, client := tcpPair(t)
 	defer client.Close()
 	handled := make(chan error, 1)
 	go func() { handled <- eng.Handle(server) }()

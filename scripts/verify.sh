@@ -40,12 +40,12 @@ go build ./...
 
 echo "== go build + vet (darwin)"
 # Cross-compile for a second GOOS: internal/reactor is split into a linux
-# file (epoll, splice) and the single build-only !linux stub, and only a
-# cross-build catches a symbol that drifted out of the shared surface.
-# Vetting the reactor and the two engines that embed it checks the stub
-# surface as well as compiling it.
+# file (epoll, timerfd, splice) and the single build-only !linux stub, and
+# only a cross-build catches a symbol that drifted out of the shared
+# surface. Vetting the reactor and the three engines that embed it checks
+# the stub surface as well as compiling it.
 GOOS=darwin go build ./...
-GOOS=darwin go vet ./internal/reactor ./internal/lb ./internal/loadgen
+GOOS=darwin go vet ./internal/reactor ./internal/serve ./internal/lb ./internal/loadgen
 
 echo "== perfbench build + vet"
 # perfbench is a nested module (it imports this one through a replace
@@ -92,6 +92,8 @@ echo "== bench + regression gate"
 # the gate when a baseline row is missing from the run, so a pinned
 # benchmark cannot pass by not being compared. Allocation
 # metrics are deterministic at a fixed iteration count and held tight —
+# BenchmarkEngineStepDensity is recorded at -count 5 and folded to its
+# median ns/op and largest B/op and allocs/op (see bench_baseline.sh) —
 # the simulation core must stay allocation-free (see DESIGN.md "Memory
 # layout & amortization"); wall-clock ratios stay generous because CI
 # machines are noisy. Refresh the baseline with scripts/bench_baseline.sh
